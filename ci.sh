@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Offline CI for the Distill reproduction: the tier-1 verify plus a
-# compile-check of every bench target and a reduced-workload figures run.
+# compile-check of every bench target, the smokes, a reduced-workload run of
+# the paper's figures and the benchmark package's own tests.
 # No step may touch the network; CARGO_NET_OFFLINE makes cargo fail fast if
 # anything ever tries.
 set -euo pipefail
@@ -54,54 +55,20 @@ echo "== distributed sweep smoke (2 worker processes, injected kill, bitwise vs 
 # and validates it the same way.
 cargo run --release -p distill-sweep --example dsweep_smoke
 
-echo "== figures (reduced workloads incl. the sweep + fused + tiers + serve + dsweep figures, JSON to bench_results/)"
-# The default run covers every figure, including `sweep` — the reduced
-# registry sweep (serial vs sharded+batched per family, bit-identity
-# verified) — `fused` (the superinstruction path vs the unfused predecoded
-# interpreter), `tiers` (direct-threaded dispatch vs the fused
-# interpreter, plus the adaptive tier-up probe), `serve` (the serving
-# daemon's coalesced throughput vs sequential solo replay), `dsweep`
-# (the distributed sweep with a seeded worker kill vs serial), `chaos`
-# (open-loop serving clean vs with a seeded worker panic absorbed) and
-# `telemetry` (the probe layer's fused-tier cost with telemetry on vs the
-# kill switch thrown), all of which the gates below read.
+echo "== figures (the paper's figures 2-7, reduced workloads, JSON to bench_results/)"
 cargo run --release -p distill-bench --bin figures
 
-echo "== bench-diff (trajectory gate: history -> committed baseline -> fresh run)"
-# The BENCH trajectory consumer, in trajectory mode: every per-PR snapshot
-# committed under bench_results/history/ is walked oldest -> newest, then
-# the committed baseline, then the fresh run — history transitions are
-# reported, only the newest transition gates. Checks per transition:
-# per-figure elapsed times within a wide wall-clock band and the interp
-# median within a MAD band. Machine-independent gates on the fresh
-# snapshot: the predecoded-engine speedup (>= 2x over the reference
-# interpreter), the fused-superinstruction speedup (>= 1.15x over the
-# predecoded interpreter, bit-identical outputs), the direct-threaded
-# dispatch speedup (>= 1.05x over the fused interpreter on the cost-skewed
-# anchor, bit-identical to fused and to the reference oracle, adaptive
-# probe promoting and matching), the sweep subsystem's sharded+batched
-# speedup (>= 1.5x over per-trial multicore grid search), the serving
-# daemon's throughput bound (coalesced serving >= 0.75x of sequential solo
-# replay — an overhead bound, not a speedup gate, so it holds on
-# single-core runners), the distributed sweep's recovery gate (clean and
-# kill-faulted runs bit-identical to serial, >= 1 lease re-issued, fault
-# wall-clock within 6x of clean), the telemetry layer's overhead bound
-# (fused-tier per-trial cost with probes live <= 1.05x of the same run
-# with DISTILL_TELEMETRY=0 thrown, kill switch bit-identical and fully
-# silent) and the sweep's and serve's bit-identity flags.
-# The committed baseline records absolute timings from one machine; when
-# this gate moves to a much slower host, refresh the snapshot once with
-#   cargo run --release -p distill-bench --bin figures -- --out bench_results/baseline
-# (the speedup and identity gates are machine-independent and keep guarding
-# regardless).
-HISTORY=$(ls bench_results/history/*.json 2>/dev/null | sort -V || true)
-# shellcheck disable=SC2086  # word-splitting the sorted snapshot list is intended
-cargo run --release -p distill-bench --bin bench-diff -- \
-  $HISTORY \
-  bench_results/baseline/figures.json bench_results/figures.json \
-  --threshold 1.5 --min-seconds 0.1 \
-  --min-interp-speedup 2.0 --min-sweep-speedup 1.5 --min-fused-speedup 1.15 \
-  --min-threaded-speedup 1.05 --min-serve-throughput 0.75 \
-  --max-dsweep-overhead 6.0 --max-chaos-overhead 6.0 --max-telemetry-overhead 1.05
+echo "== benchmark package (builds against the product crates; replay bit-identity, 8-workload smoke)"
+# benchmark/ is the performance harness the PR pipeline runs. Its own tests
+# fail here first when a product API change breaks its build or the layer
+# replay stops being bit-identical to the opaque call. The dsweep workload
+# spawns the worker built above, never a stale one left in benchmark/target.
+(cd benchmark && DISTILL_SWEEP_WORKER="$PWD/../target/release/distill-sweep-worker" \
+  cargo test --release --offline)
+
+echo "== flake check (shard_panic x10: the process-global trial-panic hook must not race)"
+for _ in $(seq 1 10); do
+  cargo test -q -p distill-repro --test shard_panic
+done
 
 echo "CI OK"

@@ -5,8 +5,8 @@
 //! module provides the small subset of serde_json the reports need: build a
 //! [`Json`] tree, `to_string` it with correct escaping, render non-finite
 //! floats as `null` so the output is always standards-compliant JSON — and
-//! [`Json::parse`] the reports back, which is what the `bench-diff`
-//! regression gate uses to compare archived snapshots across commits.
+//! [`Json::parse`] the reports back, which is what the telemetry suite and
+//! the smoke examples use to validate exported chrome traces.
 
 use std::fmt;
 

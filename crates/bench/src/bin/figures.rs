@@ -9,12 +9,6 @@
 //! figures --fig 5a|5b|5c # scaling / per-node / parallel (Fig. 5)
 //! figures --fig 6        # GPU register sweep (Fig. 6)
 //! figures --fig 7        # compilation cost breakdown (Fig. 7)
-//! figures --batched      # per-trial vs batched compiled execution
-//! figures --sweep        # sweep subsystem: serial vs sharded+batched
-//! figures --serve        # serving daemon: coalesced vs solo replay
-//! figures --dsweep       # distributed sweep: lease recovery vs serial
-//! figures --chaos        # serving under a seeded worker panic vs clean
-//! figures --telemetry    # telemetry probes: overhead on vs kill switch off
 //! figures --out DIR      # where JSON reports go (default bench_results/)
 //! ```
 //!
@@ -115,10 +109,7 @@ impl Emitter {
 }
 
 fn main() {
-    const FIGS: [&str; 17] = [
-        "2", "3", "4", "5a", "5b", "5c", "6", "7", "batched", "interp", "sweep", "fused",
-        "tiers", "serve", "dsweep", "chaos", "telemetry",
-    ];
+    const FIGS: [&str; 8] = ["2", "3", "4", "5a", "5b", "5c", "6", "7"];
     let args: Vec<String> = std::env::args().skip(1).collect();
     // Strict parse: a typo like `--ful` must not silently fall back to the
     // reduced-scale default and get archived as if it were a paper-scale run.
@@ -166,111 +157,11 @@ fn main() {
                 }
             }
             // Reduced workloads are the default so the binary doubles as an
-            // offline CI probe; `--full` (or the legacy `--all`) restores
-            // paper scale. `--quick` is accepted for backwards
-            // compatibility with the old CLI (it is now the default).
-            "--full" | "--all" => full = true,
-            "--quick" => {}
-            // Shorthand for `--fig batched`: rerun the Fig. 2 model family's
-            // trial-throughput workload through the batched compiled path
-            // and emit the side-by-side JSON report. Conflicting figure
-            // selectors are an error, not last-wins — a run that silently
-            // drops a requested figure would corrupt the archive.
-            "--batched" => match &fig {
-                Some(f) if f != "batched" => {
-                    eprintln!("error: --batched conflicts with --fig {f}");
-                    std::process::exit(2);
-                }
-                _ => fig = Some("batched".to_string()),
-            },
-            // Shorthand for `--fig interp`: the predecoded engine vs the
-            // retained reference interpreter on the Fig. 2 model family's
-            // trial-throughput workload (the interpreter-core before/after
-            // datapoint of the BENCH trajectory).
-            "--interp" => match &fig {
-                Some(f) if f != "interp" => {
-                    eprintln!("error: --interp conflicts with --fig {f}");
-                    std::process::exit(2);
-                }
-                _ => fig = Some("interp".to_string()),
-            },
-            // Shorthand for `--fig sweep`: the sweep subsystem's figure —
-            // serial vs grid-parallel vs sharded+batched on the Fig. 2
-            // model family, plus the registry sweep table.
-            "--sweep" => match &fig {
-                Some(f) if f != "sweep" => {
-                    eprintln!("error: --sweep conflicts with --fig {f}");
-                    std::process::exit(2);
-                }
-                _ => fig = Some("sweep".to_string()),
-            },
-            // Shorthand for `--fig fused`: the fused superinstruction path
-            // vs the unfused predecoded interpreter on the Fig. 2 and
-            // cost-skewed predator-prey workloads.
-            "--fused" => match &fig {
-                Some(f) if f != "fused" => {
-                    eprintln!("error: --fused conflicts with --fig {f}");
-                    std::process::exit(2);
-                }
-                _ => fig = Some("fused".to_string()),
-            },
-            // Shorthand for `--fig tiers`: direct-threaded dispatch vs the
-            // fused interpreter on the cost-skewed predator-prey anchor and
-            // the Fig. 2 family, plus the adaptive tier-up probe.
-            "--tiers" => match &fig {
-                Some(f) if f != "tiers" => {
-                    eprintln!("error: --tiers conflicts with --fig {f}");
-                    std::process::exit(2);
-                }
-                _ => fig = Some("tiers".to_string()),
-            },
-            // Shorthand for `--fig serve`: the serving daemon under
-            // open-loop mixed-family load — coalesced throughput and
-            // latency percentiles vs a sequential solo replay.
-            "--serve" => match &fig {
-                Some(f) if f != "serve" => {
-                    eprintln!("error: --serve conflicts with --fig {f}");
-                    std::process::exit(2);
-                }
-                _ => fig = Some("serve".to_string()),
-            },
-            // Shorthand for `--fig dsweep`: the distributed fault-tolerant
-            // sweep — serial vs coordinator+workers, clean and with a
-            // seeded worker kill, bit-identity and recovery overhead.
-            "--dsweep" => match &fig {
-                Some(f) if f != "dsweep" => {
-                    eprintln!("error: --dsweep conflicts with --fig {f}");
-                    std::process::exit(2);
-                }
-                _ => fig = Some("dsweep".to_string()),
-            },
-            // Shorthand for `--fig chaos`: the serving daemon's
-            // resilience datapoint — open-loop throughput clean vs with a
-            // seeded worker panic absorbed, full-space bit-identity after.
-            "--chaos" => match &fig {
-                Some(f) if f != "chaos" => {
-                    eprintln!("error: --chaos conflicts with --fig {f}");
-                    std::process::exit(2);
-                }
-                _ => fig = Some("chaos".to_string()),
-            },
-            // Shorthand for `--fig telemetry`: the telemetry layer's
-            // overhead bound — fused-tier per-trial cost with probes live
-            // vs the kill switch thrown, plus kill-switch bit-identity.
-            "--telemetry" => match &fig {
-                Some(f) if f != "telemetry" => {
-                    eprintln!("error: --telemetry conflicts with --fig {f}");
-                    std::process::exit(2);
-                }
-                _ => fig = Some("telemetry".to_string()),
-            },
+            // offline CI probe; `--full` restores paper scale.
+            "--full" => full = true,
             other => {
                 eprintln!("error: unrecognized argument '{other}'");
-                eprintln!(
-                    "usage: figures [--fig 2|3|4|5a|5b|5c|6|7|batched|interp|sweep|fused|tiers|serve|dsweep|chaos|telemetry] \
-                     [--batched] [--interp] [--sweep] [--fused] [--tiers] [--serve] [--dsweep] [--chaos] [--telemetry] \
-                     [--full] [--out DIR]"
-                );
+                eprintln!("usage: figures [--fig 2|3|4|5a|5b|5c|6|7] [--full] [--out DIR]");
                 std::process::exit(2);
             }
         }
@@ -316,13 +207,8 @@ fn main() {
     if want("5c") {
         emit.figure("fig5c", || {
             let levels = if full { 100 } else { 10 };
-            let threads = num_threads();
-            let s = bench::fig5c(levels, threads);
-            // The thread-skew companion: static chunks vs work stealing on
-            // a grid whose evaluation cost grows with the index.
-            let skew = bench::fig5c_skew(if full { 512 } else { 96 }, threads);
-            let text = format!("{}{}", s.render(), skew.render());
-            (text, Json::obj([("grid", s.to_json()), ("skew", skew.to_json())]))
+            let s = bench::fig5c(levels, distill_sweep::default_threads());
+            (s.render(), s.to_json())
         });
     }
     if want("6") {
@@ -337,82 +223,8 @@ fn main() {
             (r.render(), r.to_json())
         });
     }
-    if want("batched") {
-        emit.figure("batched", || {
-            let (trials, batch) = if full { (2000, 64) } else { (300, 32) };
-            let r = bench::fig_batched(trials, batch);
-            (r.render(), r.to_json())
-        });
-    }
-    if want("interp") {
-        emit.figure("interp", || {
-            let (trials, samples) = if full { (300, 25) } else { (60, 11) };
-            let r = bench::fig_interp(trials, samples);
-            (r.render(), r.to_json())
-        });
-    }
-    if want("sweep") {
-        emit.figure("sweep", || {
-            let (trials, samples) = if full { (2000, 7) } else { (240, 5) };
-            let r = bench::fig_sweep(trials, samples, full);
-            (r.render(), r.to_json())
-        });
-    }
-    if want("fused") {
-        emit.figure("fused", || {
-            let (trials, samples) = if full { (300, 25) } else { (60, 11) };
-            let r = bench::fig_fused(trials, samples);
-            (r.render(), r.to_json())
-        });
-    }
-    if want("tiers") {
-        emit.figure("tiers", || {
-            let (trials, samples) = if full { (300, 25) } else { (60, 11) };
-            let r = bench::fig_tiers(trials, samples);
-            (r.render(), r.to_json())
-        });
-    }
-
-    if want("serve") {
-        emit.figure("serve", || {
-            let (requests, trials, clients, workers) =
-                if full { (200, 16, 8, 4) } else { (32, 6, 4, 2) };
-            let r = bench::fig_serve(requests, trials, clients, workers);
-            (r.render(), r.to_json())
-        });
-    }
-
-    if want("dsweep") {
-        emit.figure("dsweep", || {
-            let (trials, workers, threads) = if full { (480, 4, 2) } else { (96, 2, 2) };
-            let r = bench::fig_dsweep(trials, workers, threads);
-            (r.render(), r.to_json())
-        });
-    }
-
-    if want("chaos") {
-        emit.figure("chaos", || {
-            let (requests, trials, clients, workers) =
-                if full { (200, 16, 8, 4) } else { (32, 6, 4, 2) };
-            let r = bench::fig_chaos(requests, trials, clients, workers);
-            (r.render(), r.to_json())
-        });
-    }
-
-    if want("telemetry") {
-        emit.figure("telemetry", || {
-            let (trials, samples) = if full { (300, 25) } else { (60, 11) };
-            let r = bench::fig_telemetry(trials, samples);
-            (r.render(), r.to_json())
-        });
-    }
-
     if !emit.finish(fig.is_none()) {
         eprintln!("error: no figure ran");
         std::process::exit(2);
     }
-}
-
-fn num_threads() -> usize {
-    distill_sweep::default_threads()
 }

@@ -11,17 +11,12 @@
 
 use criterion::json::Json;
 use distill::{
-    analysis, compile, global_names as gn, parallel_argmin, parallel_argmin_static,
-    time_baseline, time_distill, CompileConfig, CompileMode, Engine, ExecConfig, ExecMode,
-    GpuConfig, Measurement, OptLevel, RunSpec, Session, Target, Tier, TierPolicy, Value,
+    analysis, compile, time_baseline, time_distill, CompileConfig, CompileMode, ExecMode,
+    GpuConfig, Measurement, OptLevel, RunSpec, Session, Target,
 };
 use distill_models::{
     botvinick_stroop, extended_stroop_a, extended_stroop_b, figure4_models, multitasking,
-    predator_prey, predator_prey_s, registry, Scale, Tag, Workload,
-};
-use distill_sweep::{
-    anchor_comparison, default_threads, dsweep_family, outputs_bits_equal, run_sweep,
-    DsweepConfig, FaultPlan, SweepConfig, SweepReport, WorkerMode, ANCHOR_FAMILY,
+    predator_prey, registry, Scale, Tag, Workload,
 };
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -509,1808 +504,6 @@ pub fn fig7(levels: usize, trials: usize) -> Fig7Report {
     Fig7Report { trials, models }
 }
 
-/// Side-by-side comparison of per-trial engine re-entry vs batched compiled
-/// execution on the Fig. 2 model family (predator-prey attention).
-#[derive(Debug, Clone)]
-pub struct BatchedReport {
-    /// Model name.
-    pub model: String,
-    /// Trials executed by each side.
-    pub trials: usize,
-    /// Batch size of the batched side (trials per engine entry).
-    pub batch: usize,
-    /// Wall-clock seconds with one engine entry per trial (`batch = 1`).
-    pub per_trial_s: f64,
-    /// Wall-clock seconds through the `trials_batch` entry point.
-    pub batched_s: f64,
-    /// `per_trial_s / batched_s`.
-    pub speedup: f64,
-    /// Engine calls (including nested compiled calls) on the per-trial side.
-    pub per_trial_engine_calls: u64,
-    /// Engine calls on the batched side.
-    pub batched_engine_calls: u64,
-    /// Whether both sides produced identical outputs and pass counts.
-    pub outputs_match: bool,
-}
-
-impl BatchedReport {
-    /// Render the side-by-side text table.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "== Batched: per-trial re-entry vs trials_batch ({}, {} trials)",
-            self.model, self.trials
-        );
-        let _ = writeln!(
-            out,
-            "  {:<24} {:>12.6} s   ({} engine calls)",
-            "per-trial (batch=1)", self.per_trial_s, self.per_trial_engine_calls
-        );
-        let _ = writeln!(
-            out,
-            "  {:<24} {:>12.6} s   ({} engine calls)",
-            format!("batched (batch={})", self.batch),
-            self.batched_s,
-            self.batched_engine_calls
-        );
-        let _ = writeln!(
-            out,
-            "  speedup: x{:.3}   outputs identical: {}",
-            self.speedup, self.outputs_match
-        );
-        out
-    }
-
-    /// The comparison as a JSON object.
-    pub fn to_json(&self) -> Json {
-        Json::obj([
-            ("model", Json::str(&self.model)),
-            ("trials", self.trials.into()),
-            ("batch", self.batch.into()),
-            ("per_trial_s", self.per_trial_s.into()),
-            ("batched_s", self.batched_s.into()),
-            ("speedup", self.speedup.into()),
-            ("per_trial_engine_calls", self.per_trial_engine_calls.into()),
-            ("batched_engine_calls", self.batched_engine_calls.into()),
-            ("outputs_match", self.outputs_match.into()),
-        ])
-    }
-}
-
-/// Run the Fig. 2 model family's trial-throughput workload twice — once
-/// re-entering the engine per trial, once through the compiled
-/// `trials_batch` entry point — and report the side-by-side timing.
-pub fn fig_batched(trials: usize, batch: usize) -> BatchedReport {
-    let w = predator_prey_s();
-    let spec = RunSpec::new(w.inputs.clone(), trials);
-
-    let mut per_trial = Session::new(&w.model).build().expect("compilation succeeds");
-    let start = Instant::now();
-    let a = per_trial.run(&spec).expect("per-trial run");
-    let per_trial_s = start.elapsed().as_secs_f64();
-    let per_trial_engine_calls = per_trial.engine().map(|e| e.stats().calls).unwrap_or(0);
-
-    let mut batched = Session::new(&w.model).build().expect("compilation succeeds");
-    let start = Instant::now();
-    let b = batched.run(&spec.clone().with_batch(batch)).expect("batched run");
-    let batched_s = start.elapsed().as_secs_f64();
-    let batched_engine_calls = batched.engine().map(|e| e.stats().calls).unwrap_or(0);
-
-    BatchedReport {
-        model: w.model.name.clone(),
-        trials,
-        batch,
-        per_trial_s,
-        batched_s,
-        speedup: per_trial_s / batched_s.max(1e-12),
-        per_trial_engine_calls,
-        batched_engine_calls,
-        outputs_match: a.outputs == b.outputs && a.passes == b.passes,
-    }
-}
-
-/// `figures --interp`: the predecoded hot-path engine against the retained
-/// IR-walking reference interpreter (the pre-predecode engine), on the
-/// Fig. 2 model family's trial-throughput workload. This is the BENCH
-/// trajectory's before/after datapoint for the interpreter core.
-#[derive(Debug, Clone)]
-pub struct InterpReport {
-    /// Model name.
-    pub model: String,
-    /// Trials per sample.
-    pub trials: usize,
-    /// Timed samples per side.
-    pub samples: usize,
-    /// Median seconds per trial, predecoded path.
-    pub predecoded_median_s: f64,
-    /// Scaled median absolute deviation, predecoded path.
-    pub predecoded_mad_s: f64,
-    /// Median seconds per trial, reference path.
-    pub reference_median_s: f64,
-    /// Scaled median absolute deviation, reference path.
-    pub reference_mad_s: f64,
-    /// `reference_median_s / predecoded_median_s`.
-    pub speedup_median: f64,
-    /// Register frames served from the predecoded engine's reuse pool.
-    pub frame_pool_hits: u64,
-    /// Engine calls made by the predecoded side (equal on both sides).
-    pub engine_calls: u64,
-    /// Whether both paths produced bit-identical trial outputs.
-    pub outputs_match: bool,
-}
-
-impl InterpReport {
-    /// Render the before/after table.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "== Interp: predecoded engine vs reference interpreter ({}, {} trials x {} samples)",
-            self.model, self.trials, self.samples
-        );
-        let _ = writeln!(
-            out,
-            "  {:<24} {:>14.9} s/trial  (MAD {:.3e})",
-            "reference (pre-PR)", self.reference_median_s, self.reference_mad_s
-        );
-        let _ = writeln!(
-            out,
-            "  {:<24} {:>14.9} s/trial  (MAD {:.3e})",
-            "predecoded", self.predecoded_median_s, self.predecoded_mad_s
-        );
-        let _ = writeln!(
-            out,
-            "  median speedup: x{:.3}   outputs identical: {}   frame-pool hits: {}",
-            self.speedup_median, self.outputs_match, self.frame_pool_hits
-        );
-        out
-    }
-
-    /// The comparison as a JSON object.
-    pub fn to_json(&self) -> Json {
-        Json::obj([
-            ("model", Json::str(&self.model)),
-            ("trials", self.trials.into()),
-            ("samples", self.samples.into()),
-            ("predecoded_median_s", self.predecoded_median_s.into()),
-            ("predecoded_mad_s", self.predecoded_mad_s.into()),
-            ("reference_median_s", self.reference_median_s.into()),
-            ("reference_mad_s", self.reference_mad_s.into()),
-            ("speedup_median", self.speedup_median.into()),
-            ("frame_pool_hits", self.frame_pool_hits.into()),
-            ("engine_calls", self.engine_calls.into()),
-            ("outputs_match", self.outputs_match.into()),
-        ])
-    }
-}
-
-/// How one side of an [`ab_trial_comparison`] calls into its engine.
-type TrialCall = fn(&mut Engine, distill_ir::FuncId, &[Value]) -> Result<Value, distill::ExecError>;
-
-/// Robust statistics of a two-engine A/B trial-throughput comparison.
-struct AbStats {
-    fast_median_s: f64,
-    fast_mad_s: f64,
-    slow_median_s: f64,
-    slow_mad_s: f64,
-    /// `slow_median_s / fast_median_s`.
-    speedup_median: f64,
-    /// Whether both sides produced bit-identical trial outputs every sample.
-    outputs_match: bool,
-}
-
-/// The measurement substrate shared by the `interp`, `fused` and `tiers`
-/// figures: run the workload's compiled trial function `trials` times per
-/// sample on two engines over the same module — `fast` driven through
-/// `fast_call`, `slow` through `slow_call` — comparing output bits each
-/// sample and reducing per-trial times to median/MAD. One definition, so
-/// the figures can never drift apart methodologically.
-#[allow(clippy::too_many_arguments)] // the A/B's two (engine, entry point) sides are the interface
-fn ab_trial_comparison(
-    w: &Workload,
-    artifact: &distill::CompiledModel,
-    trials: usize,
-    samples: usize,
-    fast: &mut Engine,
-    slow: &mut Engine,
-    fast_call: TrialCall,
-    slow_call: TrialCall,
-) -> AbStats {
-    let trial_fn = artifact.trial_func.expect("whole-model artifact has a trial function");
-    let ext_len = artifact.layout.ext_len.max(1);
-    let out_len = artifact.layout.trial_output_len;
-    // Flatten each distinct input once, through the same Layout helper the
-    // driver uses; a zero image stands in if the workload has no inputs.
-    let flats: Vec<Vec<f64>> = w
-        .inputs
-        .iter()
-        .map(|input| artifact.layout.flatten_input(&w.model.input_nodes, input))
-        .collect();
-    let zero_flat = vec![0.0; ext_len];
-
-    let run = |engine: &mut Engine, call: TrialCall| -> (f64, Vec<Vec<u64>>) {
-        let start = Instant::now();
-        let mut outs = Vec::with_capacity(trials);
-        for trial in 0..trials {
-            let flat = if flats.is_empty() {
-                &zero_flat
-            } else {
-                &flats[trial % flats.len()]
-            };
-            engine
-                .write_global_f64(gn::EXT_INPUT, flat)
-                .expect("ext_input exists");
-            call(engine, trial_fn, &[Value::I64(trial as i64)]).expect("trial executes");
-            let out = engine
-                .read_global_f64(gn::TRIAL_OUTPUT)
-                .expect("trial_output exists");
-            outs.push(out[..out_len].iter().map(|v| v.to_bits()).collect());
-        }
-        (start.elapsed().as_secs_f64(), outs)
-    };
-
-    let samples = samples.max(1);
-    let trials_f = trials.max(1) as f64;
-    let mut fast_samples = Vec::with_capacity(samples);
-    let mut slow_samples = Vec::with_capacity(samples);
-    let mut outputs_match = true;
-    for _ in 0..samples {
-        let (tf, of) = run(fast, fast_call);
-        let (ts, os) = run(slow, slow_call);
-        outputs_match &= of == os;
-        fast_samples.push(tf / trials_f);
-        slow_samples.push(ts / trials_f);
-    }
-    let f = criterion::stats::compute(&fast_samples, trials as u64, fast_samples.iter().sum());
-    let s = criterion::stats::compute(&slow_samples, trials as u64, slow_samples.iter().sum());
-    AbStats {
-        fast_median_s: f.median,
-        fast_mad_s: f.mad,
-        slow_median_s: s.median,
-        slow_mad_s: s.mad,
-        speedup_median: s.median / f.median.max(1e-15),
-        outputs_match,
-    }
-}
-
-/// Run the Fig. 2 model family's compiled trial workload on two engines
-/// over the same module — the predecoded path vs the retained reference
-/// interpreter — and report median/MAD per-trial times for both sides.
-///
-/// The fast side is pinned to the **unfused** decoded path: this figure
-/// isolates the PR 3 predecode win (its ≥ 2x CI gate must track that layer
-/// alone), while the fusion layer's win is measured separately by
-/// [`fig_fused`]. Pinning also keeps the measurement independent of the
-/// `DISTILL_TIER` environment.
-pub fn fig_interp(trials: usize, samples: usize) -> InterpReport {
-    let w = predator_prey_s();
-    let artifact = compile(&w.model, CompileConfig::default()).expect("compilation succeeds");
-    let mut fast = Engine::with_config(artifact.module.clone(), ExecConfig::fixed(Tier::Decoded));
-    let mut slow = Engine::with_config(artifact.module.clone(), ExecConfig::fixed(Tier::Decoded));
-    let ab = ab_trial_comparison(
-        &w,
-        &artifact,
-        trials,
-        samples,
-        &mut fast,
-        &mut slow,
-        |e, f, a| e.call_decoded(f, a),
-        |e, f, a| e.call_reference(f, a),
-    );
-    InterpReport {
-        model: w.model.name.clone(),
-        trials,
-        samples,
-        predecoded_median_s: ab.fast_median_s,
-        predecoded_mad_s: ab.fast_mad_s,
-        reference_median_s: ab.slow_median_s,
-        reference_mad_s: ab.slow_mad_s,
-        speedup_median: ab.speedup_median,
-        frame_pool_hits: fast.stats().frame_pool_hits,
-        engine_calls: fast.stats().calls,
-        outputs_match: ab.outputs_match,
-    }
-}
-
-/// One workload's predecoded-vs-fused comparison within [`FusedReport`].
-#[derive(Debug, Clone)]
-pub struct FusedWorkloadReport {
-    /// Registry key of the family.
-    pub name: String,
-    /// Built model name.
-    pub model: String,
-    /// Trials per sample.
-    pub trials: usize,
-    /// Timed samples per side.
-    pub samples: usize,
-    /// Median seconds per trial, unfused predecoded path (`call_decoded`).
-    pub decoded_median_s: f64,
-    /// Scaled median absolute deviation, predecoded path.
-    pub decoded_mad_s: f64,
-    /// Median seconds per trial, fused path (`call`).
-    pub fused_median_s: f64,
-    /// Scaled median absolute deviation, fused path.
-    pub fused_mad_s: f64,
-    /// `decoded_median_s / fused_median_s`.
-    pub speedup_median: f64,
-    /// Whether both paths produced bit-identical trial outputs.
-    pub outputs_match: bool,
-    /// Superinstruction dispatches the fused side executed.
-    pub fused_ops: u64,
-    /// Dynamic fusion rate: `fused_ops / instructions` on the fused side.
-    pub fusion_rate: f64,
-    /// Static instruction count before fusion (sum over functions).
-    pub static_decoded_ops: u64,
-    /// Static instruction count after fusion.
-    pub static_fused_ops: u64,
-    /// Frame slots before liveness compaction.
-    pub frame_slots_decoded: u64,
-    /// Frame slots after liveness compaction.
-    pub frame_slots_fused: u64,
-}
-
-/// `figures --fused`: the fused superinstruction path against the unfused
-/// predecoded path, on the Fig. 2 model family and the cost-skewed
-/// predator-prey family — the BENCH trajectory's before/after datapoint for
-/// the fusion layer.
-#[derive(Debug, Clone)]
-pub struct FusedReport {
-    /// One comparison per measured workload (the Fig. 2 family first — the
-    /// entry the `--min-fused-speedup` gate reads).
-    pub workloads: Vec<FusedWorkloadReport>,
-}
-
-impl FusedReport {
-    /// Render the per-workload before/after tables.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(out, "== Fused: superinstruction path vs predecoded path");
-        for w in &self.workloads {
-            let _ = writeln!(
-                out,
-                "  -- {} ({} trials x {} samples)",
-                w.model, w.trials, w.samples
-            );
-            let _ = writeln!(
-                out,
-                "  {:<24} {:>14.9} s/trial  (MAD {:.3e})",
-                "predecoded", w.decoded_median_s, w.decoded_mad_s
-            );
-            let _ = writeln!(
-                out,
-                "  {:<24} {:>14.9} s/trial  (MAD {:.3e})",
-                "fused", w.fused_median_s, w.fused_mad_s
-            );
-            let _ = writeln!(
-                out,
-                "  median speedup: x{:.3}   outputs identical: {}   fusion rate: {:.1}% \
-                 ({} superinstruction dispatches)",
-                w.speedup_median,
-                w.outputs_match,
-                w.fusion_rate * 100.0,
-                w.fused_ops
-            );
-            let _ = writeln!(
-                out,
-                "  static: {} -> {} instructions, {} -> {} frame slots",
-                w.static_decoded_ops, w.static_fused_ops, w.frame_slots_decoded, w.frame_slots_fused
-            );
-        }
-        out
-    }
-
-    /// The comparison as a JSON object (consumed by `bench-diff`'s
-    /// `--min-fused-speedup` gate).
-    pub fn to_json(&self) -> Json {
-        Json::obj([(
-            "workloads",
-            Json::Arr(
-                self.workloads
-                    .iter()
-                    .map(|w| {
-                        Json::obj([
-                            ("name", Json::str(&w.name)),
-                            ("model", Json::str(&w.model)),
-                            ("trials", w.trials.into()),
-                            ("samples", w.samples.into()),
-                            ("decoded_median_s", w.decoded_median_s.into()),
-                            ("decoded_mad_s", w.decoded_mad_s.into()),
-                            ("fused_median_s", w.fused_median_s.into()),
-                            ("fused_mad_s", w.fused_mad_s.into()),
-                            ("speedup_median", w.speedup_median.into()),
-                            ("outputs_match", w.outputs_match.into()),
-                            ("fused_ops", w.fused_ops.into()),
-                            ("fusion_rate", w.fusion_rate.into()),
-                            ("static_decoded_ops", w.static_decoded_ops.into()),
-                            ("static_fused_ops", w.static_fused_ops.into()),
-                            ("frame_slots_decoded", w.frame_slots_decoded.into()),
-                            ("frame_slots_fused", w.frame_slots_fused.into()),
-                        ])
-                    })
-                    .collect(),
-            ),
-        )])
-    }
-}
-
-fn fused_workload(spec_name: &str, trials: usize, samples: usize) -> FusedWorkloadReport {
-    let spec = registry::by_name(spec_name).expect("workload family registered");
-    let w = spec.build(Scale::Reduced);
-    let artifact = compile(&w.model, CompileConfig::default()).expect("compilation succeeds");
-    // Two engines over the same module: one runs the fused fast path, the
-    // other the retained unfused predecoded path. Both sides are pinned
-    // explicitly — an inherited DISTILL_TIER must not turn this
-    // A/B into decoded-vs-decoded (and the decoded side skips the unused
-    // fuse pass).
-    let mut fused = Engine::with_config(artifact.module.clone(), ExecConfig::fixed(Tier::Fused));
-    let mut decoded = Engine::with_config(artifact.module.clone(), ExecConfig::fixed(Tier::Decoded));
-    let ab = ab_trial_comparison(
-        &w,
-        &artifact,
-        trials,
-        samples,
-        &mut fused,
-        &mut decoded,
-        |e, f, a| e.call(f, a),
-        |e, f, a| e.call_decoded(f, a),
-    );
-    let stats = fused.stats();
-    let summary = fused.fuse_summary();
-    FusedWorkloadReport {
-        name: spec.name.to_string(),
-        model: w.model.name.clone(),
-        trials,
-        samples,
-        decoded_median_s: ab.slow_median_s,
-        decoded_mad_s: ab.slow_mad_s,
-        fused_median_s: ab.fast_median_s,
-        fused_mad_s: ab.fast_mad_s,
-        speedup_median: ab.speedup_median,
-        outputs_match: ab.outputs_match,
-        fused_ops: stats.fused_ops,
-        fusion_rate: stats.fused_ops as f64 / (stats.instructions.max(1)) as f64,
-        static_decoded_ops: summary.decoded_ops,
-        static_fused_ops: summary.fused_ops,
-        frame_slots_decoded: summary.decoded_frame_slots,
-        frame_slots_fused: summary.fused_frame_slots,
-    }
-}
-
-/// Run the fused-vs-predecoded comparison on the Fig. 2 model family (the
-/// gated anchor) and the cost-skewed predator-prey family.
-pub fn fig_fused(trials: usize, samples: usize) -> FusedReport {
-    FusedReport {
-        workloads: vec![
-            fused_workload("predator_prey_2", trials, samples),
-            fused_workload("predator_prey_skewed", (trials / 8).max(2), samples.min(5)),
-        ],
-    }
-}
-
-/// One workload's fused-vs-threaded comparison within [`TiersReport`].
-#[derive(Debug, Clone)]
-pub struct TierWorkloadReport {
-    /// Registry key of the family.
-    pub name: String,
-    /// Built model name.
-    pub model: String,
-    /// Trials per sample.
-    pub trials: usize,
-    /// Timed samples per side.
-    pub samples: usize,
-    /// Median seconds per trial, fused interpreter (`Fixed(Fused)`).
-    pub fused_median_s: f64,
-    /// Scaled median absolute deviation, fused side.
-    pub fused_mad_s: f64,
-    /// Median seconds per trial, direct-threaded dispatch
-    /// (`Fixed(Threaded)`).
-    pub threaded_median_s: f64,
-    /// Scaled median absolute deviation, threaded side.
-    pub threaded_mad_s: f64,
-    /// `fused_median_s / threaded_median_s`.
-    pub speedup_median: f64,
-    /// Whether threaded and fused produced bit-identical trial outputs.
-    pub outputs_match: bool,
-    /// Whether a short threaded run matched the IR-walking reference oracle
-    /// bit for bit (catches threaded-only divergence the fused A/B shares).
-    pub reference_match: bool,
-}
-
-/// `figures --tiers`: direct-threaded dispatch against the fused
-/// interpreter on the cost-skewed predator-prey family (the gated anchor)
-/// and the Fig. 2 family, plus an adaptive tier-up probe — the BENCH
-/// trajectory's before/after datapoint for the tier architecture.
-#[derive(Debug, Clone)]
-pub struct TiersReport {
-    /// One comparison per measured workload (the skewed family first — the
-    /// entry the `--min-threaded-speedup` gate reads).
-    pub workloads: Vec<TierWorkloadReport>,
-    /// Whether the adaptive policy's outputs matched the reference oracle
-    /// across its promotion boundary.
-    pub adaptive_match: bool,
-    /// Promotions the adaptive probe performed (must be non-zero: the probe
-    /// runs well past its threshold).
-    pub tier_promotions: u64,
-}
-
-impl TiersReport {
-    /// Render the per-workload comparison tables and the adaptive verdict.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(out, "== Tiers: direct-threaded dispatch vs fused interpreter");
-        for w in &self.workloads {
-            let _ = writeln!(
-                out,
-                "  -- {} ({} trials x {} samples)",
-                w.model, w.trials, w.samples
-            );
-            let _ = writeln!(
-                out,
-                "  {:<24} {:>14.9} s/trial  (MAD {:.3e})",
-                "fused", w.fused_median_s, w.fused_mad_s
-            );
-            let _ = writeln!(
-                out,
-                "  {:<24} {:>14.9} s/trial  (MAD {:.3e})",
-                "threaded", w.threaded_median_s, w.threaded_mad_s
-            );
-            let _ = writeln!(
-                out,
-                "  median speedup: x{:.3}   outputs identical: {}   matches reference: {}",
-                w.speedup_median, w.outputs_match, w.reference_match
-            );
-        }
-        let _ = writeln!(
-            out,
-            "  adaptive tier-up: {} promotion(s), matches reference: {}",
-            self.tier_promotions, self.adaptive_match
-        );
-        out
-    }
-
-    /// The comparison as a JSON object (consumed by `bench-diff`'s
-    /// `--min-threaded-speedup` gate).
-    pub fn to_json(&self) -> Json {
-        Json::obj([
-            (
-                "workloads",
-                Json::Arr(
-                    self.workloads
-                        .iter()
-                        .map(|w| {
-                            Json::obj([
-                                ("name", Json::str(&w.name)),
-                                ("model", Json::str(&w.model)),
-                                ("trials", w.trials.into()),
-                                ("samples", w.samples.into()),
-                                ("fused_median_s", w.fused_median_s.into()),
-                                ("fused_mad_s", w.fused_mad_s.into()),
-                                ("threaded_median_s", w.threaded_median_s.into()),
-                                ("threaded_mad_s", w.threaded_mad_s.into()),
-                                ("speedup_median", w.speedup_median.into()),
-                                ("outputs_match", w.outputs_match.into()),
-                                ("reference_match", w.reference_match.into()),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            ("adaptive_match", self.adaptive_match.into()),
-            ("tier_promotions", self.tier_promotions.into()),
-        ])
-    }
-}
-
-fn tier_workload(spec_name: &str, trials: usize, samples: usize) -> TierWorkloadReport {
-    let spec = registry::by_name(spec_name).expect("workload family registered");
-    let w = spec.build(Scale::Reduced);
-    let artifact = compile(&w.model, CompileConfig::default()).expect("compilation succeeds");
-    // Both sides pinned to Fixed policies — an inherited DISTILL_TIER must
-    // not degrade the A/B.
-    let mut threaded =
-        Engine::with_config(artifact.module.clone(), ExecConfig::fixed(Tier::Threaded));
-    let mut fused = Engine::with_config(artifact.module.clone(), ExecConfig::fixed(Tier::Fused));
-    let ab = ab_trial_comparison(
-        &w,
-        &artifact,
-        trials,
-        samples,
-        &mut threaded,
-        &mut fused,
-        |e, f, a| e.call(f, a),
-        |e, f, a| e.call(f, a),
-    );
-    // Short untimed probe against the reference oracle: divergence shared by
-    // the threaded and fused streams would pass the A/B above unseen.
-    let mut probe =
-        Engine::with_config(artifact.module.clone(), ExecConfig::fixed(Tier::Threaded));
-    let mut oracle =
-        Engine::with_config(artifact.module.clone(), ExecConfig::fixed(Tier::Reference));
-    let reference = ab_trial_comparison(
-        &w,
-        &artifact,
-        trials.clamp(1, 4),
-        1,
-        &mut probe,
-        &mut oracle,
-        |e, f, a| e.call(f, a),
-        |e, f, a| e.call(f, a),
-    );
-    TierWorkloadReport {
-        name: spec.name.to_string(),
-        model: w.model.name.clone(),
-        trials,
-        samples,
-        fused_median_s: ab.slow_median_s,
-        fused_mad_s: ab.slow_mad_s,
-        threaded_median_s: ab.fast_median_s,
-        threaded_mad_s: ab.fast_mad_s,
-        speedup_median: ab.speedup_median,
-        outputs_match: ab.outputs_match,
-        reference_match: reference.outputs_match,
-    }
-}
-
-/// Run the threaded-vs-fused comparison on the cost-skewed predator-prey
-/// family (the gated anchor — its long hot inner loop is where dispatch
-/// dominates) and the Fig. 2 family, then probe the adaptive policy across
-/// its promotion boundary against the reference oracle.
-pub fn fig_tiers(trials: usize, samples: usize) -> TiersReport {
-    // Data-driven from the registry's TierAnchor group, skewed entries first
-    // (the gate anchor). The skewed family's trials are an order of
-    // magnitude more expensive, so it runs fewer of them — mirroring
-    // `fig_fused`'s scaling for the same family.
-    let workloads = distill_models::tier_anchors()
-        .into_iter()
-        .map(|spec| {
-            if spec.has_tag(Tag::Skewed) {
-                tier_workload(spec.name, (trials / 8).max(2), samples.min(5))
-            } else {
-                tier_workload(spec.name, trials, samples)
-            }
-        })
-        .collect();
-    // Adaptive probe on the anchor family: enough trials to cross the
-    // promotion threshold mid-run, compared bit-for-bit to the oracle.
-    let spec = registry::by_name("predator_prey_skewed").expect("workload family registered");
-    let w = spec.build(Scale::Reduced);
-    let artifact = compile(&w.model, CompileConfig::default()).expect("compilation succeeds");
-    let mut adaptive = Engine::with_config(
-        artifact.module.clone(),
-        ExecConfig {
-            policy: TierPolicy::Adaptive {
-                hot_call_threshold: 4,
-            },
-        },
-    );
-    let mut oracle =
-        Engine::with_config(artifact.module.clone(), ExecConfig::fixed(Tier::Reference));
-    let probe = ab_trial_comparison(
-        &w,
-        &artifact,
-        12,
-        1,
-        &mut adaptive,
-        &mut oracle,
-        |e, f, a| e.call(f, a),
-        |e, f, a| e.call(f, a),
-    );
-    TiersReport {
-        workloads,
-        adaptive_match: probe.outputs_match,
-        tier_promotions: adaptive.stats().tier_promotions,
-    }
-}
-
-/// The Fig. 5c thread-skew measurement: static contiguous chunking vs the
-/// work-stealing scheduler on a grid whose evaluation cost grows with the
-/// index (the skew shape of the fig5c controllers).
-#[derive(Debug, Clone)]
-pub struct SkewReport {
-    /// Grid points evaluated.
-    pub grid_size: usize,
-    /// Worker threads used.
-    pub threads: usize,
-    /// Wall-clock seconds with static contiguous chunks.
-    pub static_s: f64,
-    /// Wall-clock seconds with work stealing.
-    pub stealing_s: f64,
-    /// `static_s / stealing_s`.
-    pub speedup: f64,
-    /// Chunk grabs beyond each worker's first under work stealing.
-    pub steals: u64,
-    /// Whether both schedulers agreed on the argmin (index and cost).
-    pub matches: bool,
-}
-
-impl SkewReport {
-    /// Render the comparison lines.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "== Fig 5c skew: static chunks vs work stealing (grid = {}, {} threads)",
-            self.grid_size, self.threads
-        );
-        let _ = writeln!(out, "  {:<24} {:>12.6} s", "static chunks", self.static_s);
-        let _ = writeln!(
-            out,
-            "  {:<24} {:>12.6} s   ({} steals)",
-            "work stealing", self.stealing_s, self.steals
-        );
-        let _ = writeln!(
-            out,
-            "  speedup: x{:.3}   argmin identical: {}",
-            self.speedup, self.matches
-        );
-        out
-    }
-
-    /// The comparison as a JSON object.
-    pub fn to_json(&self) -> Json {
-        Json::obj([
-            ("grid_size", self.grid_size.into()),
-            ("threads", self.threads.into()),
-            ("static_s", self.static_s.into()),
-            ("stealing_s", self.stealing_s.into()),
-            ("speedup", self.speedup.into()),
-            ("steals", self.steals.into()),
-            ("matches", self.matches.into()),
-        ])
-    }
-}
-
-/// Build a compiled evaluation kernel whose cost is `(i - opt)²` but whose
-/// *run time* grows linearly with `i` (busy-work loop of `i * work` steps):
-/// a statically-chunked sweep serializes on the thread owning the expensive
-/// tail while work stealing rebalances it.
-pub fn skewed_kernel(grid_size: usize, work: i64) -> (Engine, distill_ir::FuncId) {
-    use distill_ir::{CmpPred, FunctionBuilder, Module, Ty};
-    let mut m = Module::new("skew");
-    let fid = m.declare_function("eval", vec![Ty::I64], Ty::F64);
-    {
-        let f = m.function_mut(fid);
-        let mut b = FunctionBuilder::new(f);
-        let entry = b.create_block("entry");
-        let header = b.create_block("header");
-        let body = b.create_block("body");
-        let exit = b.create_block("exit");
-        b.switch_to_block(entry);
-        let i = b.param(0);
-        let zero = b.const_i64(0);
-        let one = b.const_i64(1);
-        let zf = b.const_f64(0.0);
-        b.br(header);
-        b.switch_to_block(header);
-        let j = b.empty_phi(Ty::I64);
-        let acc = b.empty_phi(Ty::F64);
-        b.add_phi_incoming(j, entry, zero);
-        b.add_phi_incoming(acc, entry, zf);
-        let w = b.const_i64(work);
-        let bound = b.imul(i, w);
-        let c = b.cmp(CmpPred::ILt, j, bound);
-        b.cond_br(c, body, exit);
-        b.switch_to_block(body);
-        let jf = b.sitofp(j);
-        let acc2 = b.fadd(acc, jf);
-        let j2 = b.iadd(j, one);
-        b.add_phi_incoming(j, body, j2);
-        b.add_phi_incoming(acc, body, acc2);
-        b.br(header);
-        b.switch_to_block(exit);
-        // The busy-work is observable (accumulated) but weighted out of the
-        // argmin, which depends only on the distance to the optimum.
-        let fi = b.sitofp(i);
-        let opt = b.const_f64((grid_size as f64) * 2.0 / 3.0);
-        let d = b.fsub(fi, opt);
-        let sq = b.fmul(d, d);
-        let zw = b.const_f64(0.0);
-        let junk = b.fmul(acc, zw);
-        let r = b.fadd(sq, junk);
-        b.ret(Some(r));
-    }
-    (Engine::new(m), fid)
-}
-
-/// Time the skewed grid under both schedulers.
-pub fn fig5c_skew(grid_size: usize, threads: usize) -> SkewReport {
-    let (engine, fid) = skewed_kernel(grid_size, 64);
-    let start = Instant::now();
-    let stat = parallel_argmin_static(&engine, fid, grid_size, threads).expect("static grid");
-    let static_s = start.elapsed().as_secs_f64();
-    let start = Instant::now();
-    let steal = parallel_argmin(&engine, fid, grid_size, threads).expect("stealing grid");
-    let stealing_s = start.elapsed().as_secs_f64();
-    SkewReport {
-        grid_size,
-        threads,
-        static_s,
-        stealing_s,
-        speedup: static_s / stealing_s.max(1e-12),
-        steals: steal.steals,
-        matches: stat.best_index == steal.best_index
-            && stat.best_cost.to_bits() == steal.best_cost.to_bits(),
-    }
-}
-
-/// The sweep subsystem's figure: the Fig. 2 model family's trial space run
-/// serial, grid-parallel (`Target::MultiCore`, the pre-sweep way to use
-/// threads) and sharded + batched (this subsystem), plus the registry-driven
-/// sweep table over every [`Tag::Sweep`] family.
-#[derive(Debug, Clone)]
-pub struct SweepFigure {
-    /// The anchor comparison (medians over several samples).
-    pub anchor: distill_sweep::AnchorReport,
-    /// The registry sweep (one row per swept family).
-    pub table: SweepReport,
-}
-
-impl SweepFigure {
-    /// Render the anchor comparison and the per-family table.
-    pub fn render(&self) -> String {
-        let a = &self.anchor;
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "== Sweep: serial vs grid-parallel vs sharded+batched ({}, {} trials x {} samples, {} threads, batch {})",
-            a.model, a.trials, a.samples, a.threads, a.batch
-        );
-        let _ = writeln!(out, "  {:<28} {:>12.6} s", "serial (per-trial)", a.serial_median_s);
-        let _ = writeln!(
-            out,
-            "  {:<28} {:>12.6} s",
-            "grid-parallel (per-trial)", a.grid_mcpu_median_s
-        );
-        let _ = writeln!(
-            out,
-            "  {:<28} {:>12.6} s   ({} chunks, {} steals)",
-            "sharded + batched", a.sharded_median_s, a.chunks, a.steals
-        );
-        let _ = writeln!(
-            out,
-            "  speedup: x{:.3} vs serial, x{:.3} vs grid-parallel   outputs identical: {}",
-            a.speedup_vs_serial, a.speedup_vs_grid, a.outputs_match
-        );
-        let _ = writeln!(
-            out,
-            "  -- registry sweep ({} families, {} threads, batch {}, tier {})",
-            self.table.workloads.len(),
-            self.table.threads,
-            self.table.batch,
-            self.table.tier
-        );
-        for w in &self.table.workloads {
-            let _ = writeln!(
-                out,
-                "  {:<24} {:>4} trials  serial {:>10.6} s  sharded {:>10.6} s  (x{:.3}, {} steals, identical: {})",
-                w.name, w.trials, w.serial_s, w.sharded_s, w.speedup, w.steals, w.identical
-            );
-        }
-        out
-    }
-
-    /// The figure as a JSON object (consumed by `bench-diff`'s sweep gate).
-    pub fn to_json(&self) -> Json {
-        let a = &self.anchor;
-        Json::obj([
-            (
-                "anchor",
-                Json::obj([
-                    ("model", Json::str(&a.model)),
-                    ("trials", a.trials.into()),
-                    ("threads", a.threads.into()),
-                    ("batch", a.batch.into()),
-                    ("samples", a.samples.into()),
-                    ("serial_median_s", a.serial_median_s.into()),
-                    ("grid_mcpu_median_s", a.grid_mcpu_median_s.into()),
-                    ("sharded_median_s", a.sharded_median_s.into()),
-                    ("speedup_vs_serial", a.speedup_vs_serial.into()),
-                    ("speedup_vs_grid", a.speedup_vs_grid.into()),
-                    ("steals", a.steals.into()),
-                    ("chunks", a.chunks.into()),
-                    ("outputs_match", a.outputs_match.into()),
-                ]),
-            ),
-            ("threads", self.table.threads.into()),
-            ("batch", self.table.batch.into()),
-            ("tier", Json::str(&self.table.tier)),
-            ("all_identical", self.table.all_identical().into()),
-            (
-                "workloads",
-                Json::Arr(
-                    self.table
-                        .workloads
-                        .iter()
-                        .map(|w| {
-                            Json::obj([
-                                ("name", Json::str(&w.name)),
-                                ("model", Json::str(&w.model)),
-                                ("trials", w.trials.into()),
-                                ("serial_s", w.serial_s.into()),
-                                ("sharded_s", w.sharded_s.into()),
-                                ("speedup", w.speedup.into()),
-                                ("chunks", w.chunks.into()),
-                                ("steals", w.steals.into()),
-                                ("identical", w.identical.into()),
-                                // Per-run engine counters of the sharded run
-                                // (satellite of the fusion PR): stats belong
-                                // to the trial space that produced them.
-                                ("instructions", w.run_stats.instructions.into()),
-                                ("fused_ops", w.run_stats.fused_ops.into()),
-                                ("frame_pool_hits", w.run_stats.frame_pool_hits.into()),
-                                ("tier_promotions", w.run_stats.tier_promotions.into()),
-                                (
-                                    "targets",
-                                    Json::Arr(
-                                        w.targets
-                                            .iter()
-                                            .map(|c| {
-                                                let mut fields = vec![
-                                                    ("kind", Json::str(&c.kind)),
-                                                    ("label", Json::str(&c.label)),
-                                                ];
-                                                match &c.result {
-                                                    Ok(s) => fields.push(("seconds", (*s).into())),
-                                                    Err(e) => fields.push(("error", Json::str(e))),
-                                                }
-                                                if let Some(m) = c.matches_serial {
-                                                    fields.push(("matches_serial", m.into()));
-                                                }
-                                                if let Some(s) = c.steals {
-                                                    fields.push(("steals", s.into()));
-                                                }
-                                                if let Some(o) = c.occupancy {
-                                                    fields.push(("occupancy", o.into()));
-                                                }
-                                                if let Some(r) = c.registers_wanted {
-                                                    fields.push(("registers_wanted", r.into()));
-                                                }
-                                                Json::obj(fields)
-                                            })
-                                            .collect(),
-                                    ),
-                                ),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
-    }
-}
-
-/// Run the sweep figure: the anchor comparison at `trials` trials over
-/// `samples` rounds, plus the registry sweep at its per-family trial counts
-/// — both at the scale the archived record is stamped with (`full` must
-/// match the `figures` run's own scale flag).
-pub fn fig_sweep(trials: usize, samples: usize, full: bool) -> SweepFigure {
-    let cfg = SweepConfig {
-        scale: if full { Scale::Full } else { Scale::Reduced },
-        threads: default_threads().max(2),
-        batch: 32,
-        ..SweepConfig::default()
-    };
-    let anchor = anchor_comparison(&cfg, trials, samples).expect("anchor comparison runs");
-    let table = run_sweep(&cfg).expect("registry sweep runs");
-    SweepFigure { anchor, table }
-}
-
-/// `figures --serve`: the serving daemon under open-loop mixed-family load
-/// vs the same requests run sequentially alone — the before/after datapoint
-/// for cross-request batch coalescing.
-#[derive(Debug, Clone)]
-pub struct ServeReport {
-    /// Families in the load mix (the registry's [`Tag::Serve`] group).
-    pub families: Vec<String>,
-    /// Requests submitted.
-    pub requests: usize,
-    /// Trials per request.
-    pub trials_per_request: usize,
-    /// Concurrent client sessions.
-    pub clients: usize,
-    /// Server executor threads.
-    pub workers: usize,
-    /// Wall-clock seconds for the open-loop run.
-    pub elapsed_s: f64,
-    /// Served requests per second.
-    pub throughput_rps: f64,
-    /// Served trials per second.
-    pub throughput_tps: f64,
-    /// End-to-end request latency percentiles, seconds.
-    pub p50_s: f64,
-    /// 95th percentile latency.
-    pub p95_s: f64,
-    /// 99th percentile latency.
-    pub p99_s: f64,
-    /// Requests that shared a span with another request.
-    pub coalesced_requests: usize,
-    /// Spans packed / spans that coalesced multiple requests.
-    pub spans: u64,
-    /// Coalesced spans.
-    pub coalesced_spans: u64,
-    /// Batched engine entries.
-    pub batch_calls: u64,
-    /// Trials per second replaying the same requests sequentially, each
-    /// alone on a fresh engine (the no-daemon baseline).
-    pub sequential_tps: f64,
-    /// `throughput_tps / sequential_tps` — the gated coalescing speedup.
-    pub coalesce_speedup: f64,
-    /// Whether every identity probe (concurrent bursts per family compared
-    /// against solo reruns of the same trial ranges) matched bit for bit.
-    pub all_identical: bool,
-    /// Artifact-cache hits during the run.
-    pub cache_hits: u64,
-    /// Artifact-cache misses (compiles) during the run.
-    pub cache_misses: u64,
-    /// Artifact-cache LRU evictions during the run.
-    pub cache_evictions: u64,
-    /// Misses satisfied from the on-disk artifact store instead of a
-    /// recompile.
-    pub cache_disk_hits: u64,
-    /// On-disk artifacts rejected as written by a different codec revision.
-    pub cache_disk_stale: u64,
-}
-
-impl ServeReport {
-    /// Render the serving comparison.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "== Serve: open-loop coalesced serving vs sequential solo replay ({} families, {} requests x {} trials, {} clients, {} workers)",
-            self.families.len(),
-            self.requests,
-            self.trials_per_request,
-            self.clients,
-            self.workers
-        );
-        let _ = writeln!(
-            out,
-            "  {:<28} {:>10.1} trials/s  ({:.1} req/s)",
-            "served (coalesced)", self.throughput_tps, self.throughput_rps
-        );
-        let _ = writeln!(
-            out,
-            "  {:<28} {:>10.1} trials/s",
-            "sequential solo replay", self.sequential_tps
-        );
-        let _ = writeln!(
-            out,
-            "  latency p50 {:.6} s  p95 {:.6} s  p99 {:.6} s",
-            self.p50_s, self.p95_s, self.p99_s
-        );
-        let _ = writeln!(
-            out,
-            "  coalesced: {}/{} requests, {}/{} spans, {} batch calls, cache {}h/{}m \
-             ({} evicted, {} disk hits, {} disk stale)",
-            self.coalesced_requests,
-            self.requests,
-            self.coalesced_spans,
-            self.spans,
-            self.batch_calls,
-            self.cache_hits,
-            self.cache_misses,
-            self.cache_evictions,
-            self.cache_disk_hits,
-            self.cache_disk_stale
-        );
-        let _ = writeln!(
-            out,
-            "  coalesce speedup: x{:.3}   responses identical to solo runs: {}",
-            self.coalesce_speedup, self.all_identical
-        );
-        out
-    }
-
-    /// The figure as a JSON object (consumed by `bench-diff`'s
-    /// `--min-serve-throughput` gate).
-    pub fn to_json(&self) -> Json {
-        Json::obj([
-            (
-                "families",
-                Json::Arr(self.families.iter().map(Json::str).collect()),
-            ),
-            ("requests", self.requests.into()),
-            ("trials_per_request", self.trials_per_request.into()),
-            ("clients", self.clients.into()),
-            ("workers", self.workers.into()),
-            ("elapsed_s", self.elapsed_s.into()),
-            ("throughput_rps", self.throughput_rps.into()),
-            ("throughput_tps", self.throughput_tps.into()),
-            ("p50_s", self.p50_s.into()),
-            ("p95_s", self.p95_s.into()),
-            ("p99_s", self.p99_s.into()),
-            ("coalesced_requests", self.coalesced_requests.into()),
-            ("spans", self.spans.into()),
-            ("coalesced_spans", self.coalesced_spans.into()),
-            ("batch_calls", self.batch_calls.into()),
-            ("sequential_tps", self.sequential_tps.into()),
-            ("coalesce_speedup", self.coalesce_speedup.into()),
-            ("all_identical", self.all_identical.into()),
-            ("cache_hits", self.cache_hits.into()),
-            ("cache_misses", self.cache_misses.into()),
-            ("cache_evictions", self.cache_evictions.into()),
-            ("cache_disk_hits", self.cache_disk_hits.into()),
-            ("cache_disk_stale", self.cache_disk_stale.into()),
-        ])
-    }
-}
-
-/// Drive a serving daemon with the registry's serve mix under open-loop
-/// load, replay the identical requests sequentially alone, and probe
-/// coalescing identity with concurrent per-family bursts. The throughput
-/// numbers come from the best of three paired served/replayed samples, so
-/// transient host noise doesn't fail the overhead-bound gate spuriously.
-pub fn fig_serve(
-    requests: usize,
-    trials_per_request: usize,
-    clients: usize,
-    workers: usize,
-) -> ServeReport {
-    use distill_serve::{run_open_loop, ServeConfig, Server, TrafficConfig, TrialRequest};
-
-    let families: Vec<String> = distill_models::serve_mix()
-        .iter()
-        .map(|spec| spec.name.to_string())
-        .collect();
-    assert!(!families.is_empty(), "registry has no Tag::Serve families");
-    let server = Server::start(ServeConfig {
-        workers,
-        batch: 32,
-        ..ServeConfig::default()
-    });
-    let traffic = TrafficConfig {
-        families: families.clone(),
-        requests,
-        trials_per_request,
-        clients,
-        arrival_interval: std::time::Duration::from_micros(100),
-        ..TrafficConfig::default()
-    };
-
-    // Paired samples: each drives the open-loop traffic, then immediately
-    // replays that drive's exact request list sequentially, each request
-    // alone on a fresh engine — what the requests would cost without shared
-    // artifacts, batching or worker parallelism. Pairing the two
-    // measurements in one time window makes host drift hit both sides; the
-    // best-ratio sample is reported, since transient noise (a single shared
-    // core being taken away mid-run) only ever subtracts from the ratio the
-    // gate bounds.
-    const SAMPLES: usize = 3;
-    let mut best: Option<(distill_serve::TrafficReport, f64)> = None;
-    for _ in 0..SAMPLES {
-        let report = run_open_loop(&server, &traffic).expect("open-loop serve run");
-        let start = Instant::now();
-        let mut solo_trials = 0usize;
-        for record in &report.records {
-            let solo = server
-                .run_solo(&record.family, record.start, record.trials)
-                .expect("solo replay");
-            solo_trials += solo.outputs.len();
-        }
-        let sequential_s = start.elapsed().as_secs_f64();
-        let sequential_tps = solo_trials as f64 / sequential_s.max(1e-12);
-        let ratio = report.throughput_tps / sequential_tps.max(1e-12);
-        if best
-            .as_ref()
-            .map(|(r, tps)| ratio > r.throughput_tps / tps.max(1e-12))
-            .unwrap_or(true)
-        {
-            best = Some((report, sequential_tps));
-        }
-    }
-    let (report, sequential_tps) = best.expect("at least one serve sample");
-
-    // Identity probe: concurrent bursts per family force coalesced spans,
-    // and every response must match the solo rerun of its range bitwise.
-    let mut all_identical = true;
-    for family in &families {
-        let tickets: Vec<_> = (0..3)
-            .map(|_| {
-                server
-                    .submit(TrialRequest::new(family, trials_per_request.max(2)))
-                    .expect("identity submit")
-            })
-            .collect();
-        for ticket in tickets {
-            let start = ticket.start();
-            let served = ticket.wait().expect("identity wait");
-            let solo = server
-                .run_solo(family, start, served.outputs.len())
-                .expect("identity solo");
-            all_identical &= served.outputs == solo.outputs && served.passes == solo.passes;
-        }
-    }
-
-    let stats = server.stats();
-    ServeReport {
-        families,
-        requests: report.requests,
-        trials_per_request,
-        clients,
-        workers,
-        elapsed_s: report.elapsed_s,
-        throughput_rps: report.throughput_rps,
-        throughput_tps: report.throughput_tps,
-        p50_s: criterion::stats::percentile_sorted(&report.latencies_s, 50.0),
-        p95_s: criterion::stats::percentile_sorted(&report.latencies_s, 95.0),
-        p99_s: criterion::stats::percentile_sorted(&report.latencies_s, 99.0),
-        coalesced_requests: report.coalesced_requests,
-        spans: stats.spans,
-        coalesced_spans: stats.coalesced_spans,
-        batch_calls: stats.batch_calls,
-        sequential_tps,
-        coalesce_speedup: report.throughput_tps / sequential_tps.max(1e-12),
-        all_identical,
-        cache_hits: stats.cache.hits,
-        cache_misses: stats.cache.misses,
-        cache_evictions: stats.cache.evictions,
-        cache_disk_hits: stats.cache.disk_hits,
-        cache_disk_stale: stats.cache.disk_stale,
-    }
-}
-
-/// `figures --dsweep`: the distributed fault-tolerant sweep — serial vs a
-/// clean coordinator+workers run vs the same topology with a seeded worker
-/// kill, on the anchor family. The datapoint of record is bit-identity at
-/// every row plus the fault run's recovery overhead.
-#[derive(Debug, Clone)]
-pub struct DsweepFigure {
-    /// Anchor family the comparison runs on.
-    pub family: String,
-    /// Trials per run.
-    pub trials: usize,
-    /// Worker count requested for both distributed runs.
-    pub workers: usize,
-    /// Shard threads per worker.
-    pub threads: usize,
-    /// Trials per lease window.
-    pub lease_trials: usize,
-    /// Serial single-process wall-clock, seconds.
-    pub serial_s: f64,
-    /// Clean (fault-free) distributed wall-clock, seconds.
-    pub clean_s: f64,
-    /// Distributed wall-clock with the seeded kill injected, seconds.
-    pub fault_s: f64,
-    /// `fault_s / clean_s` — what one worker death costs end to end.
-    pub recovery_overhead: f64,
-    /// Clean run bit-identical to serial.
-    pub clean_identical: bool,
-    /// Faulted run bit-identical to serial.
-    pub fault_identical: bool,
-    /// Leases carved per distributed run.
-    pub leases: usize,
-    /// Leases re-issued in the faulted run (0 in a clean run by definition).
-    pub reissued: u64,
-    /// Worker deaths observed in the faulted run.
-    pub worker_deaths: u64,
-    /// Stale-epoch results fenced in the faulted run.
-    pub fenced_stale: u64,
-    /// Topology label of the faulted run (`process`, `thread`, suffixed
-    /// `+fallback` when the coordinator finished leases in-process).
-    pub fault_mode: String,
-}
-
-impl DsweepFigure {
-    /// Render the distributed-sweep comparison.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "== Dsweep: distributed fault-tolerant sweep on {} ({} trials, {} workers x {} threads, {}-trial leases)",
-            self.family, self.trials, self.workers, self.threads, self.lease_trials
-        );
-        let _ = writeln!(out, "  {:<28} {:>9.4} s", "serial", self.serial_s);
-        let _ = writeln!(
-            out,
-            "  {:<28} {:>9.4} s   identical: {}",
-            "distributed (clean)", self.clean_s, self.clean_identical
-        );
-        let _ = writeln!(
-            out,
-            "  {:<28} {:>9.4} s   identical: {}   mode: {}",
-            "distributed (worker killed)", self.fault_s, self.fault_identical, self.fault_mode
-        );
-        let _ = writeln!(
-            out,
-            "  recovery: x{:.3} overhead, {} of {} leases re-issued, {} deaths, {} stale fenced",
-            self.recovery_overhead,
-            self.reissued,
-            self.leases,
-            self.worker_deaths,
-            self.fenced_stale
-        );
-        out
-    }
-
-    /// The figure as a JSON object (consumed by `bench-diff`'s dsweep gate).
-    pub fn to_json(&self) -> Json {
-        Json::obj([
-            ("family", Json::str(&self.family)),
-            ("trials", self.trials.into()),
-            ("workers", self.workers.into()),
-            ("threads", self.threads.into()),
-            ("lease_trials", self.lease_trials.into()),
-            ("serial_s", self.serial_s.into()),
-            ("clean_s", self.clean_s.into()),
-            ("fault_s", self.fault_s.into()),
-            ("recovery_overhead", self.recovery_overhead.into()),
-            ("clean_identical", self.clean_identical.into()),
-            ("fault_identical", self.fault_identical.into()),
-            ("leases", self.leases.into()),
-            ("reissued", self.reissued.into()),
-            ("worker_deaths", self.worker_deaths.into()),
-            ("fenced_stale", self.fenced_stale.into()),
-            ("fault_mode", Json::str(&self.fault_mode)),
-        ])
-    }
-}
-
-/// Run the serial reference, a clean distributed sweep, and a kill-faulted
-/// distributed sweep on the anchor family, comparing all three bitwise.
-/// The seeded kill takes a worker down after its first completed lease, so
-/// the faulted run always exercises death detection + lease re-issue.
-pub fn fig_dsweep(trials: usize, workers: usize, threads: usize) -> DsweepFigure {
-    let lease_trials = (trials / (workers * 3).max(1)).max(2);
-    let spec = registry::by_name(ANCHOR_FAMILY).expect("anchor family registered");
-    let w = spec.build(Scale::Reduced);
-
-    let start = Instant::now();
-    let serial = Session::new(&w.model)
-        .build()
-        .expect("serial session builds")
-        .run(&RunSpec::new(w.inputs.clone(), trials))
-        .expect("serial run");
-    let serial_s = start.elapsed().as_secs_f64();
-
-    let base = DsweepConfig {
-        workers,
-        threads,
-        batch: 8,
-        lease_trials,
-        trials: Some(trials),
-        mode: WorkerMode::Auto,
-        ..DsweepConfig::default()
-    };
-    let clean = dsweep_family(ANCHOR_FAMILY, &base).expect("clean dsweep");
-    let fault = dsweep_family(
-        ANCHOR_FAMILY,
-        &DsweepConfig {
-            faults: FaultPlan::seeded(0xD5EE9, workers),
-            ..base.clone()
-        },
-    )
-    .expect("faulted dsweep");
-
-    DsweepFigure {
-        family: ANCHOR_FAMILY.to_string(),
-        trials,
-        workers,
-        threads,
-        lease_trials,
-        serial_s,
-        clean_s: clean.elapsed_s,
-        fault_s: fault.elapsed_s,
-        recovery_overhead: fault.elapsed_s / clean.elapsed_s.max(1e-12),
-        clean_identical: outputs_bits_equal(&serial.outputs, &clean.outputs)
-            && serial.passes == clean.passes,
-        fault_identical: outputs_bits_equal(&serial.outputs, &fault.outputs)
-            && serial.passes == fault.passes,
-        leases: fault.leases,
-        reissued: fault.reissued,
-        worker_deaths: fault.worker_deaths,
-        fenced_stale: fault.fenced_stale,
-        fault_mode: fault.mode,
-    }
-}
-
-/// `figures --chaos`: the serving daemon's resilience datapoint — the same
-/// open-loop load run clean and with a seeded mid-run worker panic, on the
-/// anchor family. The figure of record is bit-identity of the entire served
-/// trial space after the chaos run (quarantine + client retry must leave no
-/// byte different from a solo pass) plus the throughput cost of absorbing
-/// the fault.
-#[derive(Debug, Clone)]
-pub struct ChaosFigure {
-    /// Family the comparison runs on.
-    pub family: String,
-    /// Requests per open-loop run.
-    pub requests: usize,
-    /// Trials per request.
-    pub trials_per_request: usize,
-    /// Concurrent client sessions.
-    pub clients: usize,
-    /// Server executor threads.
-    pub workers: usize,
-    /// Absolute trial index the fault run's injected panic is armed on.
-    pub panic_trial: usize,
-    /// Served trials per second, clean run (best paired sample).
-    pub clean_tps: f64,
-    /// Served trials per second with the panic absorbed (same sample).
-    pub fault_tps: f64,
-    /// `clean_tps / fault_tps` — what absorbing one worker panic (chunk
-    /// quarantine, span-mate requeue, client retry) costs end to end.
-    pub chaos_overhead: f64,
-    /// Whether every full-trial-space sweep (clean run and fault run)
-    /// matched a solo rerun bit for bit.
-    pub all_identical: bool,
-    /// Worker panics caught in the fault run (exactly the armed one).
-    pub worker_panics: u64,
-    /// Trials requeued after sharing a span with the panicked chunk.
-    pub requeued_trials: u64,
-    /// Submissions shed by admission control in the fault run.
-    pub shed: u64,
-    /// Client-side retry attempts the fault run consumed.
-    pub retries: u64,
-    /// Requests that failed past retry (the gate requires 0).
-    pub failed: usize,
-}
-
-impl ChaosFigure {
-    /// Render the chaos comparison.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "== Chaos: serving under a seeded worker panic on {} ({} requests x {} trials, {} clients, {} workers)",
-            self.family, self.requests, self.trials_per_request, self.clients, self.workers
-        );
-        let _ = writeln!(
-            out,
-            "  {:<28} {:>9.0} trials/s",
-            "open loop (clean)", self.clean_tps
-        );
-        let _ = writeln!(
-            out,
-            "  {:<28} {:>9.0} trials/s   identical: {}",
-            format!("open loop (panic on {})", self.panic_trial),
-            self.fault_tps,
-            self.all_identical
-        );
-        let _ = writeln!(
-            out,
-            "  absorption: x{:.3} overhead, {} panic(s) caught, {} trial(s) requeued, \
-             {} client retry(ies), {} shed, {} failed",
-            self.chaos_overhead,
-            self.worker_panics,
-            self.requeued_trials,
-            self.retries,
-            self.shed,
-            self.failed
-        );
-        out
-    }
-
-    /// The figure as a JSON object (consumed by `bench-diff`'s chaos gate).
-    pub fn to_json(&self) -> Json {
-        Json::obj([
-            ("family", Json::str(&self.family)),
-            ("requests", self.requests.into()),
-            ("trials_per_request", self.trials_per_request.into()),
-            ("clients", self.clients.into()),
-            ("workers", self.workers.into()),
-            ("panic_trial", self.panic_trial.into()),
-            ("clean_tps", self.clean_tps.into()),
-            ("fault_tps", self.fault_tps.into()),
-            ("chaos_overhead", self.chaos_overhead.into()),
-            ("all_identical", self.all_identical.into()),
-            ("worker_panics", self.worker_panics.into()),
-            ("requeued_trials", self.requeued_trials.into()),
-            ("shed", self.shed.into()),
-            ("retries", self.retries.into()),
-            ("failed", self.failed.into()),
-        ])
-    }
-}
-
-/// One open-loop run against a fresh server, returning throughput, the
-/// server's resilience counters, and whether a full sweep of the served
-/// trial space matches a solo rerun bitwise.
-fn chaos_sample(
-    requests: usize,
-    trials_per_request: usize,
-    clients: usize,
-    workers: usize,
-) -> (f64, distill_serve::ServeStats, u64, usize, bool) {
-    use distill_serve::{run_open_loop, ServeConfig, Server, TrafficConfig, TrialRequest};
-    let server = Server::start(ServeConfig {
-        workers,
-        batch: 8,
-        ..ServeConfig::default()
-    });
-    let traffic = TrafficConfig {
-        families: vec![ANCHOR_FAMILY.to_string()],
-        requests,
-        trials_per_request,
-        clients,
-        arrival_interval: std::time::Duration::from_micros(100),
-        ..TrafficConfig::default()
-    };
-    let report = run_open_loop(&server, &traffic).expect("open-loop chaos sample");
-    // Identity: one request re-serving the whole trial space through the
-    // span scheduler vs a solo pass outside it. Any byte the fault path
-    // corrupted — a half-requeued segment, a stale engine global after the
-    // quarantined chunk — shows up here.
-    let total = requests * trials_per_request;
-    let sweep = server
-        .submit(TrialRequest {
-            family: ANCHOR_FAMILY.to_string(),
-            trials: total,
-            start: Some(0),
-            deadline: None,
-        })
-        .expect("sweep submit")
-        .wait()
-        .expect("sweep wait");
-    let solo = server
-        .run_solo(ANCHOR_FAMILY, 0, total)
-        .expect("sweep solo");
-    let identical = outputs_bits_equal(&sweep.outputs, &solo.outputs) && sweep.passes == solo.passes;
-    (
-        report.throughput_tps,
-        server.stats(),
-        report.retries,
-        report.failed.len(),
-        identical,
-    )
-}
-
-/// Paired clean/faulted open-loop serving runs: each sample times a clean
-/// run and a run with a panic armed on a mid-space trial, back to back in
-/// one window so host drift hits both sides; the best (lowest) overhead
-/// ratio is reported, like the serve figure's throughput gate.
-pub fn fig_chaos(
-    requests: usize,
-    trials_per_request: usize,
-    clients: usize,
-    workers: usize,
-) -> ChaosFigure {
-    use distill::chaos::{self, ChaosPlan};
-    let total = requests * trials_per_request;
-    let panic_trial = total / 2;
-
-    const SAMPLES: usize = 3;
-    let mut best: Option<ChaosFigure> = None;
-    for _ in 0..SAMPLES {
-        chaos::disarm();
-        let (clean_tps, _, _, clean_failed, clean_identical) =
-            chaos_sample(requests, trials_per_request, clients, workers);
-        assert_eq!(clean_failed, 0, "clean open-loop run dropped requests");
-
-        ChaosPlan {
-            panic_trial: Some(panic_trial),
-            seed: 0xC4A05,
-            ..ChaosPlan::default()
-        }
-        .install();
-        let (fault_tps, stats, retries, failed, fault_identical) =
-            chaos_sample(requests, trials_per_request, clients, workers);
-        chaos::disarm();
-
-        let sample = ChaosFigure {
-            family: ANCHOR_FAMILY.to_string(),
-            requests,
-            trials_per_request,
-            clients,
-            workers,
-            panic_trial,
-            clean_tps,
-            fault_tps,
-            chaos_overhead: clean_tps / fault_tps.max(1e-12),
-            all_identical: clean_identical && fault_identical,
-            worker_panics: stats.worker_panics,
-            requeued_trials: stats.requeued_trials,
-            shed: stats.shed,
-            retries,
-            failed,
-        };
-        // Identity and typed-failure results must hold on *every* sample
-        // (they accumulate); only the timing ratio picks the best window.
-        match &mut best {
-            None => best = Some(sample),
-            Some(b) => {
-                let all_identical = b.all_identical && sample.all_identical;
-                let failed = b.failed + sample.failed;
-                let panics = b.worker_panics.max(sample.worker_panics);
-                if sample.chaos_overhead < b.chaos_overhead {
-                    *b = sample;
-                }
-                b.all_identical = all_identical;
-                b.failed = failed;
-                b.worker_panics = panics;
-            }
-        }
-    }
-    best.expect("at least one chaos sample")
-}
-
-/// `figures --telemetry`: the telemetry layer's overhead bound — the fused
-/// tier's per-trial cost with probes live vs the same engine with the
-/// `DISTILL_TELEMETRY=0` kill switch thrown, on the Fig. 2 model family.
-#[derive(Debug, Clone)]
-pub struct TelemetryReport {
-    /// Built model name.
-    pub model: String,
-    /// Trials per sample.
-    pub trials: usize,
-    /// Paired (on, off) samples timed.
-    pub samples: usize,
-    /// Median seconds per trial with telemetry enabled.
-    pub on_median_s: f64,
-    /// Median seconds per trial with telemetry disabled.
-    pub off_median_s: f64,
-    /// Fastest sample, telemetry on.
-    pub on_min_s: f64,
-    /// Fastest sample, telemetry off.
-    pub off_min_s: f64,
-    /// `on_min_s / off_min_s` — the gated overhead bound. Best-vs-best of
-    /// paired samples, like the serve figure's throughput ratio: transient
-    /// host noise only ever *inflates* a single sample, so comparing the
-    /// two sides' fastest runs isolates the probes' real cost.
-    pub overhead_ratio: f64,
-    /// `on_median_s / off_median_s`, reported for context.
-    pub overhead_ratio_median: f64,
-    /// Whether the on and off runs produced bit-identical trial outputs
-    /// (the kill switch must not alter execution).
-    pub outputs_match: bool,
-    /// `engine.tier.fused.calls` delta attributed to the telemetry-on runs.
-    pub probe_calls_on: u64,
-    /// Registry counter movement observed during the telemetry-off runs —
-    /// must be zero (a thrown kill switch means *no* probe fires).
-    pub probe_calls_off: u64,
-}
-
-impl TelemetryReport {
-    /// Render the overhead comparison.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "== Telemetry: fused-tier probe overhead on {} ({} trials x {} paired samples)",
-            self.model, self.trials, self.samples
-        );
-        let _ = writeln!(
-            out,
-            "  {:<24} {:>14.9} s/trial  (median {:.3e})",
-            "telemetry on", self.on_min_s, self.on_median_s
-        );
-        let _ = writeln!(
-            out,
-            "  {:<24} {:>14.9} s/trial  (median {:.3e})",
-            "telemetry off", self.off_min_s, self.off_median_s
-        );
-        let _ = writeln!(
-            out,
-            "  overhead: x{:.4} (median x{:.4})   outputs identical: {}   \
-             probes fired: {} on / {} off",
-            self.overhead_ratio,
-            self.overhead_ratio_median,
-            self.outputs_match,
-            self.probe_calls_on,
-            self.probe_calls_off
-        );
-        out
-    }
-
-    /// The figure as a JSON object (consumed by `bench-diff`'s
-    /// `--max-telemetry-overhead` gate).
-    pub fn to_json(&self) -> Json {
-        Json::obj([
-            ("model", Json::str(&self.model)),
-            ("trials", self.trials.into()),
-            ("samples", self.samples.into()),
-            ("on_median_s", self.on_median_s.into()),
-            ("off_median_s", self.off_median_s.into()),
-            ("on_min_s", self.on_min_s.into()),
-            ("off_min_s", self.off_min_s.into()),
-            ("overhead_ratio", self.overhead_ratio.into()),
-            ("overhead_ratio_median", self.overhead_ratio_median.into()),
-            ("outputs_match", self.outputs_match.into()),
-            ("probe_calls_on", self.probe_calls_on.into()),
-            ("probe_calls_off", self.probe_calls_off.into()),
-        ])
-    }
-}
-
-/// Measure the telemetry layer's cost where it is hottest relative to the
-/// work it wraps: the fused tier's per-call dispatch probe. Each sample
-/// times the same compiled trial loop twice on separate engines — once with
-/// probes live, once with [`distill_telemetry::set_enabled`] thrown off —
-/// and the report carries best-of and median ratios plus the registry
-/// deltas proving the probes fired (on) and stayed silent (off).
-pub fn fig_telemetry(trials: usize, samples: usize) -> TelemetryReport {
-    use distill_telemetry as telemetry;
-
-    let w = predator_prey_s();
-    let artifact = compile(&w.model, CompileConfig::default()).expect("compilation succeeds");
-    let trial_fn = artifact.trial_func.expect("whole-model artifact has a trial function");
-    let ext_len = artifact.layout.ext_len.max(1);
-    let out_len = artifact.layout.trial_output_len;
-    let flats: Vec<Vec<f64>> = w
-        .inputs
-        .iter()
-        .map(|input| artifact.layout.flatten_input(&w.model.input_nodes, input))
-        .collect();
-    let zero_flat = vec![0.0; ext_len];
-    let mut on_engine =
-        Engine::with_config(artifact.module.clone(), ExecConfig::fixed(Tier::Fused));
-    let mut off_engine =
-        Engine::with_config(artifact.module.clone(), ExecConfig::fixed(Tier::Fused));
-
-    let run = |engine: &mut Engine| -> (f64, Vec<Vec<u64>>) {
-        let start = Instant::now();
-        let mut outs = Vec::with_capacity(trials);
-        for trial in 0..trials {
-            let flat = if flats.is_empty() {
-                &zero_flat
-            } else {
-                &flats[trial % flats.len()]
-            };
-            engine
-                .write_global_f64(gn::EXT_INPUT, flat)
-                .expect("ext_input exists");
-            engine
-                .call(trial_fn, &[Value::I64(trial as i64)])
-                .expect("trial executes");
-            let out = engine
-                .read_global_f64(gn::TRIAL_OUTPUT)
-                .expect("trial_output exists");
-            outs.push(out[..out_len].iter().map(|v| v.to_bits()).collect());
-        }
-        (start.elapsed().as_secs_f64(), outs)
-    };
-
-    let was_enabled = telemetry::enabled();
-    let samples = samples.max(1);
-    let trials_f = trials.max(1) as f64;
-    let mut on_samples = Vec::with_capacity(samples);
-    let mut off_samples = Vec::with_capacity(samples);
-    let mut outputs_match = true;
-    let mut probe_calls_on = 0u64;
-    let mut probe_calls_off = 0u64;
-    for _ in 0..samples {
-        telemetry::set_enabled(true);
-        let before_on = telemetry::snapshot();
-        let (t_on, out_on) = run(&mut on_engine);
-        let after_on = telemetry::snapshot();
-        telemetry::set_enabled(false);
-        let before_off = telemetry::snapshot();
-        let (t_off, out_off) = run(&mut off_engine);
-        let after_off = telemetry::snapshot();
-        outputs_match &= out_on == out_off;
-        probe_calls_on += after_on.counter_delta(&before_on, "engine.tier.fused.calls");
-        // Sum movement across *every* counter: the off side must be silent.
-        probe_calls_off += after_off
-            .counters
-            .iter()
-            .map(|(name, v)| v - before_off.counter(name).unwrap_or(0))
-            .sum::<u64>();
-        on_samples.push(t_on / trials_f);
-        off_samples.push(t_off / trials_f);
-    }
-    telemetry::set_enabled(was_enabled);
-
-    let on = criterion::stats::compute(&on_samples, trials as u64, on_samples.iter().sum());
-    let off = criterion::stats::compute(&off_samples, trials as u64, off_samples.iter().sum());
-    let on_min = on_samples.iter().copied().fold(f64::INFINITY, f64::min);
-    let off_min = off_samples.iter().copied().fold(f64::INFINITY, f64::min);
-    TelemetryReport {
-        model: w.model.name.clone(),
-        trials,
-        samples,
-        on_median_s: on.median,
-        off_median_s: off.median,
-        on_min_s: on_min,
-        off_min_s: off_min,
-        overhead_ratio: on_min / off_min.max(1e-15),
-        overhead_ratio_median: on.median / off.median.max(1e-15),
-        outputs_match,
-        probe_calls_on,
-        probe_calls_off,
-    }
-}
-
 /// One refinement round of [`Fig2Report`].
 #[derive(Debug, Clone)]
 pub struct Fig2Step {
@@ -2538,127 +731,6 @@ mod tests {
         let s = fig5c(6, 4);
         assert_eq!(s.cells.len(), 3);
         assert!(s.cells.iter().all(|c| c.result.is_ok()));
-    }
-
-    #[test]
-    fn batched_figure_is_equivalent_and_renders() {
-        let r = fig_batched(24, 8);
-        assert!(r.outputs_match, "batched path must be bit-identical");
-        assert!(r.per_trial_s > 0.0 && r.batched_s > 0.0);
-        let text = r.render();
-        assert!(text.contains("per-trial"));
-        assert!(text.contains("batch=8"));
-        assert!(r.to_json().to_string().contains("\"outputs_match\":true"));
-    }
-
-    #[test]
-    fn interp_comparison_is_bit_identical_and_renders() {
-        let r = fig_interp(8, 3);
-        assert!(r.outputs_match, "predecoded path must be bit-identical");
-        assert!(r.predecoded_median_s > 0.0 && r.reference_median_s > 0.0);
-        assert!(r.frame_pool_hits > 0, "frames must be pooled: {r:?}");
-        assert!(r.engine_calls > 0);
-        let text = r.render();
-        assert!(text.contains("predecoded"));
-        assert!(text.contains("reference (pre-PR)"));
-        let json = r.to_json().to_string();
-        assert!(json.contains("\"speedup_median\":"));
-        assert!(json.contains("\"frame_pool_hits\":"));
-        assert!(json.contains("\"outputs_match\":true"));
-    }
-
-    #[test]
-    fn fused_figure_is_bit_identical_and_renders() {
-        let r = fig_fused(8, 3);
-        assert_eq!(r.workloads.len(), 2);
-        assert_eq!(r.workloads[0].name, "predator_prey_2", "gate anchor leads");
-        for w in &r.workloads {
-            assert!(w.outputs_match, "fused must match predecoded: {w:?}");
-            assert!(w.fused_ops > 0, "superinstructions must execute: {w:?}");
-            assert!(
-                w.frame_slots_fused < w.frame_slots_decoded,
-                "liveness compaction must shrink frames: {w:?}"
-            );
-            assert!(
-                w.static_fused_ops < w.static_decoded_ops,
-                "fusion must shorten the instruction stream: {w:?}"
-            );
-            assert!(w.fusion_rate > 0.0 && w.fusion_rate < 1.0);
-        }
-        let json = r.to_json().to_string();
-        assert!(json.contains("\"speedup_median\":"));
-        assert!(json.contains("\"outputs_match\":true"));
-        assert!(json.contains("\"frame_slots_fused\":"));
-        let text = r.render();
-        assert!(text.contains("predecoded"));
-        assert!(text.contains("fusion rate"));
-    }
-
-    #[test]
-    fn tiers_figure_is_bit_identical_and_renders() {
-        let r = fig_tiers(16, 3);
-        assert_eq!(r.workloads.len(), 2);
-        assert_eq!(r.workloads[0].name, "predator_prey_skewed", "gate anchor leads");
-        for w in &r.workloads {
-            assert!(w.outputs_match, "threaded must match fused: {w:?}");
-            assert!(w.reference_match, "threaded must match the oracle: {w:?}");
-            assert!(w.fused_median_s > 0.0 && w.threaded_median_s > 0.0);
-        }
-        assert!(r.adaptive_match, "adaptive must match the oracle: {r:?}");
-        assert!(r.tier_promotions > 0, "the probe must cross its threshold: {r:?}");
-        let json = r.to_json().to_string();
-        assert!(json.contains("\"speedup_median\":"));
-        assert!(json.contains("\"reference_match\":true"));
-        assert!(json.contains("\"adaptive_match\":true"));
-        let text = r.render();
-        assert!(text.contains("threaded"));
-        assert!(text.contains("adaptive tier-up"));
-    }
-
-    #[test]
-    fn skew_report_agrees_across_schedulers() {
-        let r = fig5c_skew(48, 4);
-        assert!(r.matches, "schedulers must agree on the argmin: {r:?}");
-        assert!(r.static_s > 0.0 && r.stealing_s > 0.0);
-        let json = r.to_json().to_string();
-        assert!(json.contains("\"steals\":"));
-        assert!(r.render().contains("work stealing"));
-    }
-
-    #[test]
-    fn sweep_figure_composes_batching_with_sharding() {
-        let r = fig_sweep(24, 2, false);
-        assert!(r.anchor.outputs_match, "sharded must equal serial: {:?}", r.anchor);
-        assert!(r.table.all_identical());
-        assert_eq!(
-            r.table.workloads.len(),
-            distill_models::by_tag(distill_models::Tag::Sweep).len()
-        );
-        let json = r.to_json().to_string();
-        assert!(json.contains("\"speedup_vs_grid\":"));
-        assert!(json.contains("\"all_identical\":true"));
-        let text = r.render();
-        assert!(text.contains("sharded + batched"));
-        assert!(text.contains("registry sweep"));
-    }
-
-    #[test]
-    fn dsweep_figure_recovers_bit_identically() {
-        let r = fig_dsweep(24, 2, 1);
-        assert!(r.clean_identical, "clean distributed run must match serial");
-        assert!(r.fault_identical, "kill-faulted run must match serial");
-        assert_eq!(r.leases, 24usize.div_ceil(r.lease_trials));
-        if r.fault_mode != "in-process" {
-            assert!(r.worker_deaths >= 1, "seeded kill must land: {r:?}");
-            assert!(r.reissued >= 1, "recovery must re-issue a lease: {r:?}");
-        }
-        let json = r.to_json().to_string();
-        assert!(json.contains("\"clean_identical\":true"));
-        assert!(json.contains("\"fault_identical\":true"));
-        assert!(json.contains("\"recovery_overhead\":"));
-        let text = r.render();
-        assert!(text.contains("distributed (worker killed)"));
-        assert!(text.contains("re-issued"));
     }
 
     #[test]

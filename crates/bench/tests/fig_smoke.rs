@@ -158,10 +158,3 @@ fn gpu_grid_runs_with_fp32_and_throttle() {
     assert!(report.total_time_s > 0.0);
     assert!(report.occupancy > 0.0 && report.occupancy <= 1.0);
 }
-
-#[test]
-fn batched_workload_runs() {
-    let r = bench::fig_batched(12, 4);
-    assert!(r.outputs_match);
-    assert!(r.per_trial_s > 0.0 && r.batched_s > 0.0);
-}

@@ -69,12 +69,11 @@ pub struct CompileConfig {
     /// that executes up to this many trials per engine entry; drivers chunk
     /// larger batch requests. `0` disables the batched entry point.
     pub batch_capacity: usize,
-    /// Which execution tier (or tier-up policy) the engine runs the
-    /// compiled module on — see [`distill_exec::TierPolicy`]. Defaults to
-    /// the fused interpreter; `Fixed(Tier::Decoded)` is the A/B baseline of
-    /// `figures --fused`, `Fixed(Tier::Threaded)` the direct-threaded
-    /// dispatcher, `Adaptive` profile-guided tier-up. Codegen itself ignores
-    /// the knob — it rides along so drivers construct their engines
+    /// Which execution tier the engine runs the compiled module on — see
+    /// [`distill_exec::TierPolicy`]. Defaults to the fused interpreter;
+    /// `Fixed(Tier::Decoded)` is the unfused A/B baseline,
+    /// `Fixed(Tier::Threaded)` the direct-threaded dispatcher. Codegen
+    /// itself ignores the knob — it rides along so drivers construct their engines
     /// accordingly (the `DISTILL_TIER` environment override still wins at
     /// engine construction).
     pub tier: distill_exec::TierPolicy,

@@ -313,21 +313,16 @@ fn enc_config(w: &mut Writer, c: &CompileConfig) {
     });
     w.u64(c.seed);
     w.len(c.batch_capacity);
-    match c.tier {
-        TierPolicy::Fixed(t) => {
-            w.u8(0);
-            w.u8(match t {
-                Tier::Reference => 0,
-                Tier::Decoded => 1,
-                Tier::Fused => 2,
-                Tier::Threaded => 3,
-            });
-        }
-        TierPolicy::Adaptive { hot_call_threshold } => {
-            w.u8(1);
-            w.u64(hot_call_threshold);
-        }
-    }
+    // Policy tag 0 = fixed tier. Tag 1 was the retired adaptive policy;
+    // it stays unassigned so old artifacts decode to `Corrupt`.
+    let TierPolicy::Fixed(t) = c.tier;
+    w.u8(0);
+    w.u8(match t {
+        Tier::Reference => 0,
+        Tier::Decoded => 1,
+        Tier::Fused => 2,
+        Tier::Threaded => 3,
+    });
 }
 
 fn dec_config(r: &mut Reader) -> Result<CompileConfig, ArtifactError> {
@@ -353,9 +348,6 @@ fn dec_config(r: &mut Reader) -> Result<CompileConfig, ArtifactError> {
             3 => Tier::Threaded,
             t => return Err(ArtifactError::Corrupt(format!("bad tier tag {t}"))),
         }),
-        1 => TierPolicy::Adaptive {
-            hot_call_threshold: r.u64()?,
-        },
         t => return Err(ArtifactError::Corrupt(format!("bad policy tag {t}"))),
     };
     Ok(CompileConfig {
@@ -1129,6 +1121,19 @@ mod tests {
             // A flip may land in a don't-care byte and still decode; what is
             // forbidden is panicking.
             assert!(r.is_ok(), "panicked on bit flip at {i}");
+        }
+        // An artifact written under the retired adaptive policy (tag 1 in
+        // the config's second-to-last byte) is a typed error as well.
+        let mut cfg = Writer::default();
+        enc_config(&mut cfg, &compiled().config);
+        let policy_tag = ARTIFACT_MAGIC.len() + 4 + cfg.bytes.len() - 2;
+        let mut retired = clean.clone();
+        assert_eq!(retired[policy_tag], 0, "fixed-policy tag");
+        retired[policy_tag] = 1;
+        let r = std::panic::catch_unwind(|| deserialize_artifact(&retired));
+        match r.expect("panicked on the retired policy tag") {
+            Err(ArtifactError::Corrupt(m)) => assert!(m.contains("policy tag 1"), "{m}"),
+            other => panic!("expected Corrupt, got {:?}", other.map(|_| "an artifact")),
         }
 
         // The same guarantees through the file path `read_artifact` takes.

@@ -38,19 +38,12 @@
 //! | `seed=S`      | seed for derived randomness (corruption byte index)  |
 //!
 //! Unset or empty → inert plan; a malformed entry is an **error**, so a
-//! typoed schedule cannot silently run fault-free. The dsweep-era variable
-//! [`DSWEEP_FAULTS_ENV`] (`DISTILL_DSWEEP_FAULTS`) is honored as a
-//! deprecated compatibility alias when `DISTILL_CHAOS` is unset.
+//! typoed schedule cannot silently run fault-free.
 
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
 
-/// The environment variable [`ChaosPlan::from_env`] reads first.
+/// The environment variable [`ChaosPlan::from_env`] reads.
 pub const CHAOS_ENV: &str = "DISTILL_CHAOS";
-
-/// Deprecated alias of [`CHAOS_ENV`], kept so existing
-/// `DISTILL_DSWEEP_FAULTS` schedules keep working; consulted only when
-/// `DISTILL_CHAOS` is unset or empty.
-pub const DSWEEP_FAULTS_ENV: &str = "DISTILL_DSWEEP_FAULTS";
 
 /// A deterministic, seeded fault schedule for the whole process (and, via
 /// the dsweep fields, the whole worker topology). Inert by default.
@@ -88,7 +81,6 @@ static BUILD_COUNTDOWN: AtomicI64 = AtomicI64::new(-1);
 static READ_COUNTDOWN: AtomicI64 = AtomicI64::new(-1);
 static DELAY_MS: AtomicU64 = AtomicU64::new(0);
 static SEED: AtomicU64 = AtomicU64::new(0);
-static ALIAS_WARNED: AtomicBool = AtomicBool::new(false);
 
 /// SplitMix64 step: advances `state` and returns the next value. The one
 /// mixing primitive every seeded schedule in the repository derives from
@@ -118,31 +110,13 @@ impl ChaosPlan {
         }
     }
 
-    /// Parse the plan from the environment: [`CHAOS_ENV`] first, then the
-    /// deprecated [`DSWEEP_FAULTS_ENV`] alias (with a one-shot stderr
-    /// warning). Unset or empty → inert plan.
+    /// Parse the plan from [`CHAOS_ENV`]. Unset or empty → inert plan.
     ///
     /// # Errors
     /// A malformed spec, so a typoed schedule cannot silently run
     /// fault-free.
     pub fn from_env() -> Result<ChaosPlan, String> {
-        if let Ok(v) = std::env::var(CHAOS_ENV) {
-            if !v.trim().is_empty() {
-                return ChaosPlan::parse(&v);
-            }
-        }
-        match std::env::var(DSWEEP_FAULTS_ENV) {
-            Ok(v) if !v.trim().is_empty() => {
-                if !ALIAS_WARNED.swap(true, Ordering::Relaxed) {
-                    eprintln!(
-                        "warning: {DSWEEP_FAULTS_ENV} is deprecated; \
-                         use {CHAOS_ENV} (same grammar, more fault kinds)"
-                    );
-                }
-                ChaosPlan::parse(&v)
-            }
-            _ => Ok(ChaosPlan::default()),
-        }
+        env_spec().map_or(Ok(ChaosPlan::default()), |v| ChaosPlan::parse(&v))
     }
 
     /// Parse the [`CHAOS_ENV`] grammar (exposed for tests and CLIs); see
@@ -218,14 +192,17 @@ impl ChaosPlan {
 /// # Errors
 /// A malformed spec (see [`ChaosPlan::from_env`]).
 pub fn install_from_env() -> Result<Option<ChaosPlan>, String> {
-    let plan = ChaosPlan::from_env()?;
-    let unset = std::env::var(CHAOS_ENV).map_or(true, |v| v.trim().is_empty())
-        && std::env::var(DSWEEP_FAULTS_ENV).map_or(true, |v| v.trim().is_empty());
-    if unset {
+    let Some(spec) = env_spec() else {
         return Ok(None);
-    }
+    };
+    let plan = ChaosPlan::parse(&spec)?;
     plan.install();
     Ok(Some(plan))
+}
+
+/// The [`CHAOS_ENV`] value, when set to something non-blank.
+fn env_spec() -> Option<String> {
+    std::env::var(CHAOS_ENV).ok().filter(|v| !v.trim().is_empty())
 }
 
 /// Disarm every process-global hook.
@@ -234,9 +211,8 @@ pub fn disarm() {
 }
 
 /// Arm (or with `None` disarm) a panic on the given absolute trial index
-/// without touching the rest of the installed plan. This is the legacy
-/// `test_hooks::panic_on_trial` surface, kept for tests that inject one
-/// trial panic and nothing else.
+/// without touching the rest of the installed plan, for tests that inject
+/// one trial panic and nothing else.
 pub fn panic_on_trial(trial: Option<usize>) {
     PANIC_TRIAL.store(trial.unwrap_or(NO_TRIAL), Ordering::SeqCst);
 }

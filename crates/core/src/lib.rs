@@ -51,9 +51,8 @@ pub use distill_analysis as analysis;
 pub use distill_codegen::{compile, global_names, CompileConfig, CompileMode, CompiledModel};
 pub use distill_cogmodel::{BaselineRunner, Composition, RunError};
 pub use distill_exec::{
-    parallel_argmin, parallel_argmin_static, serial_argmin, ChunkQueue, Engine, EngineStats,
-    ExecConfig, ExecError, FuseSummary, GpuConfig, GpuRunReport, ParallelResult, Tier,
-    TierPolicy, Value,
+    parallel_argmin, serial_argmin, ChunkQueue, Engine, EngineStats, ExecConfig, ExecError,
+    FuseSummary, GpuConfig, GpuRunReport, ParallelResult, Tier, TierPolicy, Value,
 };
 pub use distill_opt::OptLevel;
 pub use distill_pyvm::ExecMode;
@@ -62,8 +61,6 @@ pub mod artifact;
 pub mod chaos;
 mod runner;
 mod session;
-#[doc(hidden)]
-pub mod test_hooks;
 
 pub use artifact::{
     artifact_key, deserialize_artifact, read_artifact, serialize_artifact, write_artifact,

@@ -775,7 +775,6 @@ fn mirror_run_stats(stats: &distill_exec::EngineStats) {
         steals: &'static Counter,
         fused_ops: &'static Counter,
         frame_slots: &'static Counter,
-        tier_promotions: &'static Counter,
         runs: &'static Counter,
     }
     static PROBES: OnceLock<RunProbes> = OnceLock::new();
@@ -790,7 +789,6 @@ fn mirror_run_stats(stats: &distill_exec::EngineStats) {
             steals: reg.counter("run.steals"),
             fused_ops: reg.counter("run.fused_ops"),
             frame_slots: reg.counter("run.frame_slots"),
-            tier_promotions: reg.counter("run.tier_promotions"),
             runs: reg.counter("run.completed"),
         }
     });
@@ -802,7 +800,6 @@ fn mirror_run_stats(stats: &distill_exec::EngineStats) {
     p.steals.add(stats.steals);
     p.fused_ops.add(stats.fused_ops);
     p.frame_slots.add(stats.frame_slots);
-    p.tier_promotions.add(stats.tier_promotions);
     p.runs.inc();
 }
 

@@ -57,6 +57,10 @@ pub struct Session {
     config: CompileConfig,
     target: Target,
     eval_budget: Option<u64>,
+    /// Whether [`Session::tier`] chose `config.tier` (as opposed to it
+    /// being the default): only then does it override a pre-compiled
+    /// artifact's own tier in [`Session::build_with`].
+    tier_set: bool,
 }
 
 impl Session {
@@ -68,6 +72,7 @@ impl Session {
             config: CompileConfig::default(),
             target: Target::default(),
             eval_budget: None,
+            tier_set: false,
         }
     }
 
@@ -107,9 +112,10 @@ impl Session {
         self
     }
 
-    /// Select the execution tier (or tier-up policy) the runner's engine
-    /// uses — see [`distill_exec::TierPolicy`]. Defaults to the fused
-    /// interpreter.
+    /// Select the execution tier the runner's engine uses — see
+    /// [`distill_exec::TierPolicy`]. Defaults to the fused interpreter, or
+    /// under [`Session::build_with`] to the tier the artifact was compiled
+    /// for.
     ///
     /// The `DISTILL_TIER` environment override wins over an explicit
     /// policy: when the environment requests a tier, every runner of the
@@ -118,13 +124,16 @@ impl Session {
     #[must_use]
     pub fn tier(mut self, policy: distill_exec::TierPolicy) -> Session {
         self.config.tier = policy;
+        self.tier_set = true;
         self
     }
 
-    /// Replace the whole compile configuration at once.
+    /// Replace the whole compile configuration at once (including any
+    /// earlier [`Session::tier`] choice).
     #[must_use]
     pub fn compile_config(mut self, config: CompileConfig) -> Session {
         self.config = config;
+        self.tier_set = false;
         self
     }
 
@@ -163,7 +172,9 @@ impl Session {
     /// a previous runner's [`Runner::compiled`]); this is the reuse path for
     /// sweeps over run-time-only knobs such as [`Target::Gpu`]
     /// configurations, where recompiling identical IR per configuration
-    /// would dominate. Baseline targets ignore the artifact.
+    /// would dominate. Baseline targets ignore the artifact. The runner
+    /// executes on the artifact's own tier unless [`Session::tier`] was
+    /// called (the tier is a run-time knob; codegen ignores it).
     ///
     /// # Errors
     /// Same surface as [`Session::build`].
@@ -193,7 +204,12 @@ impl Session {
         // itself runs as configured, so the artifact keeps its whole-model
         // entry points for anything else that inspects it.
         let compiled = match artifact {
-            Some(compiled) => compiled,
+            Some(mut compiled) => {
+                if self.tier_set {
+                    compiled.config.tier = self.config.tier;
+                }
+                compiled
+            }
             None => compile(&self.model, self.config)?,
         };
         Ok(Box::new(CompiledBackend {

@@ -11,11 +11,8 @@
 //! | [`Tier::Threaded`]        | per-block `(handler, op)` arrays | indirect call       |
 //!
 //! Which tier a call runs on is a [`TierPolicy`]: `Fixed(tier)` pins every
-//! function, `Adaptive { hot_call_threshold }` starts every function at the
-//! decoded tier and promotes it to the direct-threaded tier once its call
-//! count crosses the threshold (promotions are counted in
-//! `EngineStats::tier_promotions`). All tiers are pinned bit-identical to the
-//! reference oracle by the registry-driven differential suites.
+//! function. All tiers are pinned bit-identical to the reference oracle by
+//! the registry-driven differential suites.
 //!
 //! # Adding a tier
 //!
@@ -89,30 +86,11 @@ impl fmt::Display for Tier {
 pub enum TierPolicy {
     /// Every function runs on the given tier.
     Fixed(Tier),
-    /// Profile-guided tier-up: every function starts at [`Tier::Decoded`]
-    /// and is promoted to [`Tier::Threaded`] once the engine has dispatched
-    /// it `hot_call_threshold` times (counted per function across the
-    /// engine's lifetime; each promotion bumps
-    /// `EngineStats::tier_promotions`).
-    Adaptive {
-        /// Calls to a function before it is promoted.
-        hot_call_threshold: u64,
-    },
 }
 
 impl TierPolicy {
-    /// Default promotion threshold of the `DISTILL_TIER=adaptive` spelling.
-    pub const DEFAULT_HOT_CALL_THRESHOLD: u64 = 32;
-
-    /// The adaptive policy with the default threshold.
-    pub fn adaptive() -> TierPolicy {
-        TierPolicy::Adaptive {
-            hot_call_threshold: TierPolicy::DEFAULT_HOT_CALL_THRESHOLD,
-        }
-    }
-
     /// Interpret a `DISTILL_TIER` environment value as an explicit policy
-    /// request. Accepts the five tier spellings (any casing). Empty and
+    /// request. Accepts the four tier spellings (any casing). Empty and
     /// unrecognized values count as unset, so a typo degrades to the default
     /// rather than silently changing semantics per call site. Returns `None`
     /// when the value requests nothing.
@@ -122,7 +100,6 @@ impl TierPolicy {
             "decoded" => Some(TierPolicy::Fixed(Tier::Decoded)),
             "fused" => Some(TierPolicy::Fixed(Tier::Fused)),
             "threaded" => Some(TierPolicy::Fixed(Tier::Threaded)),
-            "adaptive" => Some(TierPolicy::adaptive()),
             _ => None,
         }
     }
@@ -145,12 +122,8 @@ impl TierPolicy {
 
 impl fmt::Display for TierPolicy {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            TierPolicy::Fixed(t) => f.write_str(t.label()),
-            TierPolicy::Adaptive { hot_call_threshold } => {
-                write!(f, "adaptive({hot_call_threshold})")
-            }
-        }
+        let TierPolicy::Fixed(t) = self;
+        f.write_str(t.label())
     }
 }
 
@@ -387,10 +360,6 @@ mod tests {
                 "{spelling}"
             );
         }
-        assert_eq!(
-            TierPolicy::from_env_values(Some("adaptive")),
-            Some(TierPolicy::adaptive())
-        );
     }
 
     #[test]
@@ -398,18 +367,13 @@ mod tests {
         assert_eq!(TierPolicy::from_env_values(None), None);
         assert_eq!(TierPolicy::from_env_values(Some("")), None);
         assert_eq!(TierPolicy::from_env_values(Some("bogus")), None);
+        // The retired profile-guided spelling is unknown like any other.
+        assert_eq!(TierPolicy::from_env_values(Some("adaptive")), None);
     }
 
     #[test]
     fn policy_labels_are_stable() {
         assert_eq!(TierPolicy::Fixed(Tier::Threaded).to_string(), "threaded");
-        assert_eq!(
-            TierPolicy::Adaptive {
-                hot_call_threshold: 8
-            }
-            .to_string(),
-            "adaptive(8)"
-        );
         assert_eq!(TierPolicy::default(), TierPolicy::Fixed(Tier::Fused));
     }
 }

@@ -12,10 +12,7 @@
 //! the tier architecture): the retained IR-walking reference oracle, the
 //! predecoded interpreter (see [`crate::decode`]), the fused
 //! superinstruction stream (see [`crate::fuse`]), and direct-threaded
-//! dispatch over the fused stream. `Fixed(tier)` pins every call;
-//! `Adaptive { hot_call_threshold }` starts functions at the decoded tier
-//! and promotes hot ones to the threaded tier, counting promotions in
-//! [`EngineStats::tier_promotions`]. The per-tier entry points
+//! dispatch over the fused stream. The per-tier entry points
 //! ([`Engine::call_reference`], [`Engine::call_decoded`],
 //! [`Engine::call_fused`], [`Engine::call_threaded`]) bypass the policy for
 //! A/B measurement and differential testing.
@@ -28,9 +25,7 @@
 //! its own copy, which is the "thread-local copy of the read-write
 //! parameter structure and node outputs" strategy of §3.6. Clones share the
 //! immutable module and every tier's prepared code behind `Arc` — only the
-//! mutable memory image is copied, so spawning a worker is cheap — and they
-//! inherit the template's adaptive promotion state, so a worker starts hot
-//! functions on the tier the template already promoted them to.
+//! mutable memory image is copied, so spawning a worker is cheap.
 
 use crate::backend::{
     DecodedTier, ExecTier, FusedTier, ReferenceTier, ThreadedTier, Tier, TierCodeStats, TierPolicy,
@@ -173,10 +168,6 @@ pub struct EngineStats {
     /// fused and decoded paths shows how much the liveness compaction in
     /// [`crate::fuse`] shrank the pooled frames.
     pub frame_slots: u64,
-    /// Functions promoted from the decoded to the threaded tier by the
-    /// adaptive policy (see [`TierPolicy::Adaptive`]). Zero under any fixed
-    /// policy.
-    pub tier_promotions: u64,
 }
 
 impl EngineStats {
@@ -192,7 +183,6 @@ impl EngineStats {
         self.steals += other.steals;
         self.fused_ops += other.fused_ops;
         self.frame_slots += other.frame_slots;
-        self.tier_promotions += other.tier_promotions;
     }
 }
 
@@ -320,10 +310,6 @@ pub struct Engine {
     pub(crate) threaded: ThreadedTier,
     policy: TierPolicy,
     fuse_enabled: bool,
-    /// Per-function call counts driving adaptive promotion.
-    hot_calls: Vec<u64>,
-    /// Per-function promotion state (`true` = runs on the threaded tier).
-    promoted: Vec<bool>,
     pub(crate) ctx: EngineCtx,
     /// Maximum instructions per top-level `call` (default: effectively
     /// unlimited). Tests lower it to catch runaway loops.
@@ -333,9 +319,7 @@ pub struct Engine {
 impl Clone for Engine {
     /// Clone the mutable memory image; the module and every tier's prepared
     /// code are shared (immutable after construction), so worker threads can
-    /// be spawned without re-lowering or copying any code. The adaptive
-    /// promotion state is inherited, so clones start hot functions on the
-    /// tier the template already promoted them to.
+    /// be spawned without re-lowering or copying any code.
     fn clone(&self) -> Engine {
         Engine {
             module: Arc::clone(&self.module),
@@ -345,8 +329,6 @@ impl Clone for Engine {
             threaded: self.threaded.clone(),
             policy: self.policy,
             fuse_enabled: self.fuse_enabled,
-            hot_calls: self.hot_calls.clone(),
-            promoted: self.promoted.clone(),
             ctx: EngineCtx {
                 memory: self.ctx.memory.clone(),
                 global_base: self.ctx.global_base.clone(),
@@ -400,7 +382,6 @@ impl Engine {
             (Arc::clone(&decoded_code), FuseSummary::default())
         };
         let threaded_code = Arc::new(crate::backend::threaded::thread_module(&fused_code));
-        let num_funcs = module.functions.len();
         let module = Arc::new(module);
         Engine {
             reference: ReferenceTier {
@@ -417,8 +398,6 @@ impl Engine {
             module,
             policy: config.policy,
             fuse_enabled,
-            hot_calls: vec![0; num_funcs],
-            promoted: vec![false; num_funcs],
             ctx: EngineCtx {
                 memory,
                 global_base,
@@ -496,7 +475,6 @@ impl Engine {
             steals: s.steals - base.steals,
             fused_ops: s.fused_ops - base.fused_ops,
             frame_slots: s.frame_slots - base.frame_slots,
-            tier_promotions: s.tier_promotions - base.tier_promotions,
         }
     }
 
@@ -638,38 +616,14 @@ impl Engine {
     // -----------------------------------------------------------------------
 
     /// Call a function by id with the given arguments, on the tier the
-    /// engine's [`TierPolicy`] selects. Under a fixed policy every call runs
-    /// that tier; under the adaptive policy the function's call count is
-    /// bumped first and crossing the threshold promotes it (at the call
-    /// boundary only, so a promotion never splits one run's statistics
-    /// across tiers).
+    /// engine's [`TierPolicy`] selects.
     ///
     /// # Errors
     /// Returns [`ExecError`] on type errors, memory violations, division by
     /// zero, depth or fuel exhaustion.
     pub fn call(&mut self, func: FuncId, args: &[Value]) -> Result<Value, ExecError> {
-        match self.policy {
-            TierPolicy::Fixed(tier) => self.call_tier(tier, func, args),
-            TierPolicy::Adaptive { hot_call_threshold } => {
-                let idx = func.index();
-                if !self.promoted[idx] {
-                    self.hot_calls[idx] += 1;
-                    if self.hot_calls[idx] >= hot_call_threshold {
-                        self.promoted[idx] = true;
-                        self.ctx.stats.tier_promotions += 1;
-                        if distill_telemetry::enabled() {
-                            crate::probes::record_promotion(idx, hot_call_threshold);
-                        }
-                    }
-                }
-                let tier = if self.promoted[idx] {
-                    Tier::Threaded
-                } else {
-                    Tier::Decoded
-                };
-                self.call_tier(tier, func, args)
-            }
-        }
+        let TierPolicy::Fixed(tier) = self.policy;
+        self.call_tier(tier, func, args)
     }
 
     /// Call a function on an explicit tier, bypassing the policy. The
@@ -713,8 +667,8 @@ impl Engine {
     /// interpreter: the pre-predecode implementation that deep-clones the
     /// callee per call and resolves operands against the value arena on
     /// every read. Semantically identical to [`Engine::call`] (the
-    /// differential suite enforces it); kept as the behavioural baseline and
-    /// for the `figures --interp` before/after measurement.
+    /// differential suite enforces it); kept as the behavioural baseline
+    /// and as the bottom rung of the benchmark's tier ladder.
     ///
     /// # Errors
     /// Same surface as [`Engine::call`].
@@ -723,8 +677,8 @@ impl Engine {
     }
 
     /// Call a function through the **unfused** predecoded form — the PR 3
-    /// interpreter core, retained for A/B measurement (`figures --fused`)
-    /// and differential testing against the fused fast path.
+    /// interpreter core, retained for A/B measurement (the benchmark's
+    /// tier ladder) and differential testing against the fused fast path.
     ///
     /// # Errors
     /// Same surface as [`Engine::call`].
@@ -1163,54 +1117,6 @@ mod tests {
         assert_eq!(threaded.stats().instructions, fused.stats().instructions);
         assert_eq!(threaded.stats().fused_ops, fused.stats().fused_ops);
         assert_eq!(threaded.memory_bits(), fused.memory_bits());
-    }
-
-    #[test]
-    fn adaptive_policy_promotes_hot_functions_at_the_call_boundary() {
-        let (m, fid) = sum_module();
-        let mut e = Engine::with_config(
-            m,
-            ExecConfig {
-                policy: TierPolicy::Adaptive {
-                    hot_call_threshold: 4,
-                },
-            },
-        );
-        let mut fixed = Engine::with_config(
-            e.module().clone(),
-            ExecConfig::fixed(Tier::Fused),
-        );
-        for i in 0..8 {
-            assert_eq!(
-                e.call(fid, &[Value::I64(i)]),
-                fixed.call(fid, &[Value::I64(i)]),
-                "call {i}"
-            );
-        }
-        assert_eq!(e.stats().tier_promotions, 1, "stats: {:?}", e.stats());
-        // Promotion state is inherited by clones: a worker spawned now does
-        // not re-promote (or re-interpret) the hot function.
-        let mut worker = e.clone();
-        let base = worker.stats();
-        worker.call(fid, &[Value::I64(3)]).unwrap();
-        assert_eq!(worker.stats_since(&base).tier_promotions, 0);
-    }
-
-    #[test]
-    fn adaptive_policy_below_threshold_stays_decoded() {
-        let (m, fid) = sum_module();
-        let mut e = Engine::with_config(
-            m,
-            ExecConfig {
-                policy: TierPolicy::Adaptive {
-                    hot_call_threshold: 100,
-                },
-            },
-        );
-        for i in 0..8 {
-            e.call(fid, &[Value::I64(i)]).unwrap();
-        }
-        assert_eq!(e.stats().tier_promotions, 0);
     }
 
     #[test]

@@ -66,8 +66,7 @@ use crate::engine::Value;
 use std::collections::HashMap;
 
 /// Static accounting of what fusion did to a module, reported by
-/// [`Engine::fuse_summary`](crate::engine::Engine::fuse_summary) and the
-/// `figures --fused` benchmark.
+/// [`Engine::fuse_summary`](crate::engine::Engine::fuse_summary).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FuseSummary {
     /// Decoded instructions before fusion (sum over all functions).

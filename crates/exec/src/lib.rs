@@ -36,7 +36,5 @@ pub use backend::{ExecTier, Tier, TierCodeStats, TierPolicy};
 pub use engine::{Engine, EngineCtx, EngineStats, ExecConfig, ExecError, Value};
 pub use fuse::FuseSummary;
 pub use gpu::{GpuConfig, GpuRunReport};
-pub use mcpu::{
-    parallel_argmin, parallel_argmin_static, serial_argmin, EvalContext, ParallelResult,
-};
+pub use mcpu::{parallel_argmin, serial_argmin, EvalContext, ParallelResult};
 pub use shard::{panic_message, ChunkQueue, GrabCount};

@@ -7,9 +7,7 @@
 //! workers repeatedly grab the next chunk of grid indices until the grid is
 //! drained, so a skewed grid — evaluation cost varying wildly across
 //! parameter points, as in the Fig. 5c controllers — no longer serializes on
-//! the slowest statically-assigned chunk. The pre-work-stealing
-//! static-contiguous partitioning is retained as
-//! [`parallel_argmin_static`] for measurement and differential testing.
+//! the slowest statically-assigned chunk.
 //!
 //! Every worker owns an [`EvalContext`]: a clone of the engine (sharing the
 //! immutable module and predecoded code, copying only the mutable memory
@@ -38,7 +36,7 @@ pub struct ParallelResult {
     pub threads: usize,
     /// Chunk grabs beyond each worker's first under the work-stealing
     /// scheduler — redistribution another worker could have absorbed. Zero
-    /// for the serial and static-chunk paths and for single-worker runs
+    /// for the serial path and for single-worker runs
     /// (a lone worker draining the queue is self-scheduling, not stealing).
     pub steals: u64,
     /// Engine counters the evaluation contexts accumulated (summed across
@@ -139,10 +137,9 @@ fn empty_result(threads: usize) -> ParallelResult {
 /// workers pulling chunks from a shared work-stealing queue, and return the
 /// argmin of the returned costs.
 ///
-/// The result is bit-identical to [`serial_argmin`] and
-/// [`parallel_argmin_static`] for any thread count and any schedule: costs
-/// depend only on the evaluation index, and every path shares the
-/// [`argmin_better`] tie-break.
+/// The result is bit-identical to [`serial_argmin`] for any thread count and
+/// any schedule: costs depend only on the evaluation index, and both paths
+/// share the [`argmin_better`] tie-break.
 ///
 /// # Errors
 /// Returns the first [`ExecError`] any worker encountered.
@@ -222,74 +219,6 @@ pub fn parallel_argmin(
     })
 }
 
-/// The pre-work-stealing scheduler: split the grid into `threads` contiguous
-/// static chunks, one per worker. Retained for differential testing and for
-/// the Fig. 5c thread-skew measurement (the `skew` series of
-/// `figures --fig 5c`), where it demonstrates the serialization work
-/// stealing removes.
-///
-/// # Errors
-/// Returns the first [`ExecError`] any worker encountered.
-pub fn parallel_argmin_static(
-    engine: &Engine,
-    eval_func: FuncId,
-    grid_size: usize,
-    threads: usize,
-) -> Result<ParallelResult, ExecError> {
-    let threads = threads.max(1).min(grid_size.max(1));
-    if grid_size == 0 {
-        return Ok(empty_result(threads));
-    }
-    let chunk = grid_size.div_ceil(threads);
-    type WorkerResult = Result<((usize, f64), EngineStats), ExecError>;
-    let results: Vec<WorkerResult> =
-        std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for t in 0..threads {
-                let lo = t * chunk;
-                let hi = ((t + 1) * chunk).min(grid_size);
-                if lo >= hi {
-                    continue;
-                }
-                let mut ctx = EvalContext::new(engine, eval_func);
-                handles.push(scope.spawn(move || {
-                    let mut best = ARGMIN_INIT;
-                    let base_stats = ctx.engine().stats();
-                    for i in lo..hi {
-                        best = argmin_better(best, i, ctx.eval(i)?);
-                    }
-                    Ok((best, ctx.engine().stats_since(&base_stats)))
-                }));
-            }
-            handles
-                .into_iter()
-                .map(|h| {
-                    h.join().unwrap_or_else(|p| {
-                        Err(ExecError::WorkerPanicked(crate::shard::panic_message(&*p)))
-                    })
-                })
-                .collect()
-        });
-
-    let mut best = ARGMIN_INIT;
-    let mut stats = EngineStats::default();
-    for r in results {
-        let ((i, c), worker_stats) = r?;
-        stats.add(&worker_stats);
-        if i != usize::MAX {
-            best = argmin_better(best, i, c);
-        }
-    }
-    Ok(ParallelResult {
-        best_index: best.0,
-        best_cost: best.1,
-        evaluations: grid_size,
-        threads,
-        steals: 0,
-        stats,
-    })
-}
-
 /// Sequential reference implementation used to validate the parallel
 /// backends and to time the single-thread compiled path in Fig. 5c. Takes
 /// the template engine by shared reference and evaluates through a single
@@ -354,9 +283,6 @@ mod tests {
             assert_eq!(par.best_index, serial.best_index, "threads={threads}");
             assert_eq!(par.best_cost, serial.best_cost);
             assert_eq!(par.evaluations, 100);
-            let stat = parallel_argmin_static(&engine, fid, 100, threads).unwrap();
-            assert_eq!(stat.best_index, serial.best_index, "threads={threads}");
-            assert_eq!(stat.best_cost, serial.best_cost);
         }
     }
 
@@ -372,8 +298,6 @@ mod tests {
     fn empty_grid_is_handled() {
         let (engine, fid) = quadratic_kernel();
         let r = parallel_argmin(&engine, fid, 0, 4).unwrap();
-        assert_eq!(r.evaluations, 0);
-        let r = parallel_argmin_static(&engine, fid, 0, 4).unwrap();
         assert_eq!(r.evaluations, 0);
         let r = serial_argmin(&engine, fid, 0).unwrap();
         assert_eq!(r.evaluations, 0);
@@ -407,12 +331,6 @@ mod tests {
         for threads in [2, 4, 8] {
             assert_eq!(
                 parallel_argmin(&engine, fid, 64, threads).unwrap().best_index,
-                0
-            );
-            assert_eq!(
-                parallel_argmin_static(&engine, fid, 64, threads)
-                    .unwrap()
-                    .best_index,
                 0
             );
         }

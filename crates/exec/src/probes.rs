@@ -16,12 +16,10 @@
 //! * `engine.instructions`, `engine.fused_ops`, `engine.frame_pool_hits`,
 //!   `engine.frame_slots` — mirrors of the same-named `EngineStats`
 //!   counters, accumulated process-wide across every engine instance.
-//! * `engine.tier_promotions` (+ the `engine.tier_promotion` instant
-//!   event) — adaptive tier-up decisions as they happen.
 
 use crate::backend::Tier;
 use crate::engine::EngineStats;
-use distill_telemetry::{self as telemetry, ArgValue, Counter, Histogram};
+use distill_telemetry::{self as telemetry, Counter, Histogram};
 use std::sync::OnceLock;
 
 /// Per-tier instruments, indexed by [`tier_index`].
@@ -38,7 +36,6 @@ pub(crate) struct EngineProbes {
     pub fused_ops: &'static Counter,
     pub frame_pool_hits: &'static Counter,
     pub frame_slots: &'static Counter,
-    pub tier_promotions: &'static Counter,
 }
 
 pub(crate) fn tier_index(tier: Tier) -> usize {
@@ -69,7 +66,6 @@ pub(crate) fn engine_probes() -> &'static EngineProbes {
             fused_ops: reg.counter("engine.fused_ops"),
             frame_pool_hits: reg.counter("engine.frame_pool_hits"),
             frame_slots: reg.counter("engine.frame_slots"),
-            tier_promotions: reg.counter("engine.tier_promotions"),
         }
     })
 }
@@ -91,17 +87,4 @@ pub(crate) fn record_dispatch(
     p.frame_pool_hits
         .add(after.frame_pool_hits - before.frame_pool_hits);
     p.frame_slots.add(after.frame_slots - before.frame_slots);
-}
-
-/// Record an adaptive tier-up decision as a counter bump plus a
-/// chrome-trace instant event carrying the promoted function's index.
-pub(crate) fn record_promotion(func_index: usize, threshold: u64) {
-    engine_probes().tier_promotions.inc();
-    telemetry::instant(
-        "engine.tier_promotion",
-        vec![
-            ("func", ArgValue::I64(func_index as i64)),
-            ("threshold", ArgValue::I64(threshold as i64)),
-        ],
-    );
 }

@@ -650,10 +650,7 @@ pub fn multitasking() -> Workload {
 
 pub mod registry;
 
-pub use registry::{
-    by_name, by_tag, dsweep_anchors, serve_mix, tier_anchors, Scale, Tag, TargetKind,
-    WorkloadSpec,
-};
+pub use registry::{by_name, by_tag, serve_mix, Scale, Tag, TargetKind, WorkloadSpec};
 
 /// The eight models of Fig. 4, in the order the figure lists them —
 /// data-driven from the [`registry`] (the entries tagged [`Tag::Figure4`]).

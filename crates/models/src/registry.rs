@@ -56,19 +56,11 @@ pub enum Tag {
     Skewed,
     /// Stress configuration for the GPU cost model.
     GpuCost,
-    /// Measured by the execution-tier figure (`figures --tiers`): families
-    /// whose interpreter-bound inner loops make dispatch overhead visible.
-    TierAnchor,
-    /// Part of the default mixed-family load of the serving figure
-    /// (`figures --serve`) and the open-loop smoke: whole-model families
+    /// Part of the default mixed-family load of the serving benchmark
+    /// workloads and the open-loop smoke: whole-model families
     /// cheap enough per trial that request-level effects — coalescing,
     /// queueing, cache reuse — dominate the measurement.
     Serve,
-    /// Anchor of the distributed-sweep figure (`figures --dsweep`) and the
-    /// multi-process determinism suite: stochastic families whose per-trial
-    /// PRNG streams make trials location-independent, so leases can land on
-    /// any worker process and still stitch bit-identically.
-    Dsweep,
 }
 
 /// A declaratively-registered workload family.
@@ -197,7 +189,7 @@ const REGISTRY: &[WorkloadSpec] = &[
     WorkloadSpec {
         name: "necker_cube_8",
         summary: "8-vertex Necker cube, one leaky unit per vertex",
-        tags: &[Tag::Figure4, Tag::Sweep, Tag::Serve, Tag::Dsweep],
+        tags: &[Tag::Figure4, Tag::Sweep, Tag::Serve],
         targets: SERIAL_TARGETS,
         sweep_trials: (40, 240),
         build: b_necker_m,
@@ -205,14 +197,7 @@ const REGISTRY: &[WorkloadSpec] = &[
     WorkloadSpec {
         name: "predator_prey_2",
         summary: "predator-prey S: grid-search attention controller, 8 evals/trial",
-        tags: &[
-            Tag::Figure4,
-            Tag::Scaling,
-            Tag::Sweep,
-            Tag::TierAnchor,
-            Tag::Serve,
-            Tag::Dsweep,
-        ],
+        tags: &[Tag::Figure4, Tag::Scaling, Tag::Sweep, Tag::Serve],
         targets: ALL_TARGETS,
         sweep_trials: (240, 2000),
         build: b_pp_s,
@@ -268,7 +253,7 @@ const REGISTRY: &[WorkloadSpec] = &[
     WorkloadSpec {
         name: "predator_prey_skewed",
         summary: "cost-skewed predator-prey: attention buys deliberation work",
-        tags: &[Tag::Skewed, Tag::Sweep, Tag::TierAnchor],
+        tags: &[Tag::Skewed, Tag::Sweep],
         targets: &[TargetKind::SingleCore, TargetKind::MultiCore],
         sweep_trials: (8, 40),
         build: b_pp_skewed,
@@ -298,32 +283,12 @@ pub fn by_name(name: &str) -> Option<&'static WorkloadSpec> {
     REGISTRY.iter().find(|s| s.name == name)
 }
 
-/// The default mixed-family serving load (`figures --serve` and the
-/// open-loop smoke), in registry order: three serial whole-model families
+/// The default mixed-family serving load (the serving benchmark workloads
+/// and the open-loop smoke), in registry order: three serial whole-model families
 /// plus the grid-search predator-prey anchor, so coalesced traffic mixes
 /// cheap threshold-terminated trials with controller-heavy ones.
 pub fn serve_mix() -> Vec<&'static WorkloadSpec> {
     by_tag(Tag::Serve)
-}
-
-/// The families the execution-tier figure measures, cost-skewed entries
-/// first: the skewed family's long deliberation loop is where dispatch
-/// overhead dominates, so it leads and is the entry the
-/// `bench-diff --min-threaded-speedup` gate anchors on.
-pub fn tier_anchors() -> Vec<&'static WorkloadSpec> {
-    let mut specs = by_tag(Tag::TierAnchor);
-    specs.sort_by_key(|s| !s.has_tag(Tag::Skewed));
-    specs
-}
-
-/// The families the distributed-sweep figure and the multi-process
-/// determinism suite anchor on, grid-search-controller entries first: the
-/// controller-heavy family stresses recovery under real per-lease cost,
-/// the cheap one stresses lease-protocol overhead.
-pub fn dsweep_anchors() -> Vec<&'static WorkloadSpec> {
-    let mut specs = by_tag(Tag::Dsweep);
-    specs.sort_by_key(|s| !s.has_tag(Tag::TierAnchor));
-    specs
 }
 
 #[cfg(test)]
@@ -363,26 +328,6 @@ mod tests {
                 assert!(spec.sweep_trials(scale) > 0);
                 assert!(!w.inputs.is_empty());
             }
-        }
-    }
-
-    #[test]
-    fn tier_anchors_lead_with_the_skewed_family() {
-        let anchors = tier_anchors();
-        assert_eq!(anchors.len(), 2);
-        assert_eq!(anchors[0].name, "predator_prey_skewed", "gate anchor leads");
-        assert_eq!(anchors[1].name, "predator_prey_2");
-    }
-
-    #[test]
-    fn dsweep_anchors_lead_with_the_controller_family() {
-        let anchors = dsweep_anchors();
-        assert_eq!(anchors.len(), 2);
-        assert_eq!(anchors[0].name, "predator_prey_2", "controller family leads");
-        assert_eq!(anchors[1].name, "necker_cube_8");
-        for a in anchors {
-            // The distributed invariant requires trial independence.
-            assert!(a.build(Scale::Reduced).model.reset_state_each_trial);
         }
     }
 

@@ -20,9 +20,9 @@
 //!   back per request. Coalescing is *bit-transparent*: every response is
 //!   bitwise identical to the same request running alone on an idle server.
 //!
-//! The open-loop traffic generator in [`traffic`] drives a server the way
-//! the figures binary drives the offline harnesses, reporting throughput
-//! and latency percentiles (`figures --serve`).
+//! The open-loop traffic generator in [`traffic`] drives a server on a
+//! fixed arrival schedule, reporting throughput and latency percentiles
+//! (the `open_loop_smoke` example and `tests/serve_faults.rs` use it).
 //!
 //! The daemon is instrumented end to end with `distill-telemetry` (metric
 //! names are catalogued in the README's Observability section):

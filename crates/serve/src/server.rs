@@ -489,8 +489,7 @@ impl Server {
     /// Run `trials` trials of `family` starting at absolute index `start`
     /// as if the request were alone on an idle server: a fresh engine,
     /// trial-by-trial, bypassing the scheduler entirely. This is the
-    /// identity baseline coalesced responses are compared against, and the
-    /// sequential-throughput baseline of the serving figure.
+    /// identity baseline coalesced responses are compared against.
     pub fn run_solo(
         &self,
         family: &str,

@@ -12,8 +12,7 @@
 //! workers with a seeded fault plan that kills one worker mid-sweep, and
 //! exits non-zero unless the recovered distributed outputs are bitwise
 //! identical to serial with at least one re-issued lease. An explicit
-//! schedule can be injected via `DISTILL_DSWEEP_FAULTS` (see
-//! `distill_sweep::proto`).
+//! schedule can be injected via `DISTILL_CHAOS` (see `distill::chaos`).
 //!
 //! It also exports the coordinator's chrome://tracing view of the sweep to
 //! `bench_results/trace_dsweep.json` and re-parses it with the in-repo JSON

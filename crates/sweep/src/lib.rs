@@ -141,8 +141,8 @@ pub struct SweepReport {
     /// Trials per compiled batch.
     pub batch: usize,
     /// Label of the execution tier policy every family ran on (e.g.
-    /// `fused`, `threaded`, `adaptive(32)`) — archived so sweep records
-    /// from different tiers are never compared as like-for-like.
+    /// `fused`, `threaded`) — archived so sweep records from different
+    /// tiers are never compared as like-for-like.
     pub tier: String,
     /// Per-family results, in registry order.
     pub workloads: Vec<WorkloadReport>,
@@ -347,56 +347,6 @@ pub fn run_sweep(cfg: &SweepConfig) -> Result<SweepReport, DistillError> {
     })
 }
 
-/// The serial / grid-parallel / sharded-batched comparison on the Fig. 2
-/// model family (predator-prey attention) — the anchor measurement of the
-/// sweep subsystem's figure.
-#[derive(Debug, Clone)]
-pub struct AnchorReport {
-    /// Model name.
-    pub model: String,
-    /// Trials per sample.
-    pub trials: usize,
-    /// Worker threads of the sharded and grid-parallel runs.
-    pub threads: usize,
-    /// Trials per compiled batch of the sharded run.
-    pub batch: usize,
-    /// Timed samples per configuration.
-    pub samples: usize,
-    /// Median seconds, serial per-trial whole-model execution.
-    pub serial_median_s: f64,
-    /// Median seconds, per-trial execution with the grid search split
-    /// across threads (`Target::MultiCore` — PR 3's grid-level parallelism).
-    pub grid_mcpu_median_s: f64,
-    /// Median seconds, sharded + batched trial execution (this PR's
-    /// trial-level parallelism).
-    pub sharded_median_s: f64,
-    /// `serial_median_s / sharded_median_s`.
-    pub speedup_vs_serial: f64,
-    /// `grid_mcpu_median_s / sharded_median_s` — the figure's gate: the
-    /// sharded-batched sweep must beat per-trial multicore grid search.
-    pub speedup_vs_grid: f64,
-    /// Steals of the sharded run's chunk queue (last sample).
-    pub steals: u64,
-    /// Chunks of the sharded run (last sample).
-    pub chunks: usize,
-    /// Whether all three configurations produced bit-identical outputs in
-    /// every sample.
-    pub outputs_match: bool,
-}
-
-// A local median on purpose: the workspace's other median lives in the
-// bench-harness crate (`stats::median_sorted`), which sits outside this
-// crate's dependency cone — pulling the whole harness in for one fold is
-// not worth the coupling.
-fn median(samples: &mut [f64]) -> f64 {
-    samples.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
-    match samples.len() {
-        0 => 0.0,
-        n if n % 2 == 1 => samples[n / 2],
-        n => 0.5 * (samples[n / 2 - 1] + samples[n / 2]),
-    }
-}
-
 /// Registry key of the anchor family (the Fig. 2 model, predator-prey S).
 pub const ANCHOR_FAMILY: &str = "predator_prey_2";
 
@@ -404,84 +354,6 @@ pub const ANCHOR_FAMILY: &str = "predator_prey_2";
 /// the paper's 24-hour cutoff exactly like the Fig. 4 harness's DNF budget:
 /// a baseline that exceeds it becomes a recorded failure cell.
 pub const PROBE_EVAL_BUDGET: u64 = 200_000_000;
-
-/// Time the anchor comparison over `samples` rounds and report medians.
-///
-/// # Errors
-/// Propagates compile and run failures — the anchor family must run on
-/// every configuration.
-pub fn anchor_comparison(
-    cfg: &SweepConfig,
-    trials: usize,
-    samples: usize,
-) -> Result<AnchorReport, DistillError> {
-    let spec = registry::by_name(ANCHOR_FAMILY).ok_or_else(|| {
-        DistillError::Driver(format!("anchor family '{ANCHOR_FAMILY}' is not registered"))
-    })?;
-    let w = spec.build(cfg.scale);
-    let artifact = compile(&w.model, cfg.compile)?;
-    let samples = samples.max(1);
-
-    let serial_spec = RunSpec::new(w.inputs.clone(), trials);
-    let sharded_spec = serial_spec
-        .clone()
-        .with_batch(cfg.batch)
-        .with_shards(cfg.threads);
-
-    let mut serial_t = Vec::with_capacity(samples);
-    let mut grid_t = Vec::with_capacity(samples);
-    let mut sharded_t = Vec::with_capacity(samples);
-    let mut outputs_match = true;
-    let mut steals = 0;
-    let mut chunks = 0;
-    for _ in 0..samples {
-        let (ts, serial, _) =
-            timed_run(Session::new(&w.model).compile_config(cfg.compile), &artifact, &serial_spec)?;
-        let (tg, grid, _) = timed_run(
-            Session::new(&w.model)
-                .compile_config(cfg.compile)
-                .target(Target::MultiCore {
-                    threads: cfg.threads,
-                }),
-            &artifact,
-            &serial_spec,
-        )?;
-        let (tb, sharded, _) = timed_run(
-            Session::new(&w.model).compile_config(cfg.compile),
-            &artifact,
-            &sharded_spec,
-        )?;
-        outputs_match &= outputs_bits_equal(&serial.outputs, &sharded.outputs)
-            && serial.passes == sharded.passes
-            && outputs_bits_equal(&serial.outputs, &grid.outputs)
-            && serial.passes == grid.passes;
-        if let Some(s) = sharded.shards {
-            steals = s.steals;
-            chunks = s.chunks;
-        }
-        serial_t.push(ts);
-        grid_t.push(tg);
-        sharded_t.push(tb);
-    }
-    let serial_median_s = median(&mut serial_t);
-    let grid_mcpu_median_s = median(&mut grid_t);
-    let sharded_median_s = median(&mut sharded_t);
-    Ok(AnchorReport {
-        model: w.model.name.clone(),
-        trials,
-        threads: cfg.threads,
-        batch: cfg.batch,
-        samples,
-        serial_median_s,
-        grid_mcpu_median_s,
-        sharded_median_s,
-        speedup_vs_serial: serial_median_s / sharded_median_s.max(1e-12),
-        speedup_vs_grid: grid_mcpu_median_s / sharded_median_s.max(1e-12),
-        steals,
-        chunks,
-        outputs_match,
-    })
-}
 
 #[cfg(test)]
 mod tests {
@@ -542,15 +414,5 @@ mod tests {
         assert!(regs >= 200, "expected a register-heavy kernel, got {regs}");
         assert!(gpu.occupancy.unwrap() > 0.0);
         assert_eq!(gpu.matches_serial, Some(true), "gpu grid diverged from single-core");
-    }
-
-    #[test]
-    fn anchor_comparison_is_bit_identical() {
-        let cfg = tiny_cfg();
-        let r = anchor_comparison(&cfg, 30, 2).expect("anchor runs");
-        assert!(r.outputs_match, "{r:?}");
-        assert!(r.serial_median_s > 0.0 && r.sharded_median_s > 0.0);
-        assert!(r.grid_mcpu_median_s > 0.0);
-        assert!(r.chunks > 0);
     }
 }

@@ -207,11 +207,6 @@ impl WorkerFaults {
 /// old `FaultPlan` name remains the public surface of this crate.
 pub use distill::chaos::ChaosPlan as FaultPlan;
 
-/// The deprecated environment variable historically read by
-/// `FaultPlan::from_env`; still honored as a compatibility alias when
-/// [`distill::chaos::CHAOS_ENV`] (`DISTILL_CHAOS`) is unset.
-pub const FAULTS_ENV: &str = distill::chaos::DSWEEP_FAULTS_ENV;
-
 /// Slice `plan` down to the faults worker `worker` must self-inject.
 pub fn worker_faults(plan: &FaultPlan, worker: u32) -> WorkerFaults {
     let pick = |f: Option<(u32, u64)>| f.filter(|(w, _)| *w == worker).map(|(_, k)| k);
@@ -278,7 +273,6 @@ impl Enc {
         self.u64(s.steals);
         self.u64(s.fused_ops);
         self.u64(s.frame_slots);
-        self.u64(s.tier_promotions);
     }
     fn shards(&mut self, s: &ShardStats) {
         self.u64(s.threads as u64);
@@ -358,7 +352,6 @@ impl<'a> Dec<'a> {
             steals: self.u64()?,
             fused_ops: self.u64()?,
             frame_slots: self.u64()?,
-            tier_promotions: self.u64()?,
         })
     }
     fn shards(&mut self) -> Result<ShardStats, ProtoError> {
@@ -599,7 +592,6 @@ mod tests {
                     steals: 1,
                     fused_ops: 600,
                     frame_slots: 40,
-                    tier_promotions: 0,
                 },
             },
         })

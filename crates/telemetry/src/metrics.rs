@@ -250,8 +250,8 @@ pub fn snapshot() -> TelemetrySnapshot {
 }
 
 /// A point-in-time copy of every registered metric, with a JSON rendering.
-/// This is the surface the bench figures and the `distill-serve`
-/// introspection call hand out.
+/// This is the surface the benchmark and the `distill-serve`
+/// introspection call read.
 #[derive(Debug, Clone, Default)]
 pub struct TelemetrySnapshot {
     /// Whether probes were live when the snapshot was taken.

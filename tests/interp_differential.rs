@@ -1,26 +1,24 @@
 //! Differential suite: every execution tier — direct-threaded, fused,
 //! plain predecoded — against the retained IR-walking reference
-//! interpreter, plus the adaptive tier-up policy mid-promotion.
+//! interpreter.
 //!
 //! The family coverage is **data-driven over the workload registry**
 //! (`distill_models::registry`): every registered family — the Fig. 2–7
 //! models plus the stress families (`predator_prey_skewed`, `gpu_stress`)
 //! and anything registered after them — is compiled and executed once per
-//! execution tier over the same module (one engine per `Fixed` tier policy,
-//! plus an `Adaptive` engine whose low promotion threshold makes it tier up
-//! in the middle of the differential), asserting bit-identical trial
-//! outputs *and* bit-identical final memory images. Registering a new
+//! execution tier over the same module (one engine per `Fixed` tier
+//! policy), asserting bit-identical trial outputs *and* bit-identical
+//! final memory images. Registering a new
 //! family — or appending a new tier to [`ALL_TIERS`] — is all it takes to
 //! extend the coverage.
 //!
 //! Targeted edge cases cover phi edges, terminators, frame-pool reuse,
 //! per-node artifacts, O0/O3 IR shapes, and the work-stealing grid scheduler
-//! against the static-chunk and serial paths on a seeded skewed-cost grid.
+//! against the serial path on a seeded skewed-cost grid.
 
 use distill::{
-    compile, global_names as gn, parallel_argmin, parallel_argmin_static, serial_argmin,
-    CompileConfig, CompileMode, CompiledModel, Engine, ExecConfig, ExecError, OptLevel, Tier,
-    TierPolicy, Value,
+    compile, global_names as gn, parallel_argmin, serial_argmin, CompileConfig, CompileMode,
+    CompiledModel, Engine, ExecConfig, ExecError, OptLevel, Tier, TierPolicy, Value,
 };
 use distill_ir::{BinOp, CmpPred, FunctionBuilder, Module, Terminator, Ty};
 use distill_models::{
@@ -42,11 +40,9 @@ fn flatten(w: &Workload, artifact: &CompiledModel, trial: usize) -> Vec<f64> {
 const ALL_TIERS: [Tier; 4] = [Tier::Reference, Tier::Decoded, Tier::Fused, Tier::Threaded];
 
 /// One engine per tier over the artifact's module — pinned `Fixed` policies,
-/// so an inherited `DISTILL_TIER` cannot degrade the
-/// differential — plus an `Adaptive` engine whose promotion threshold of 2
-/// makes it tier up from decoded to threaded *during* the comparison.
+/// so an inherited `DISTILL_TIER` cannot degrade the differential.
 fn tier_engines(artifact: &CompiledModel) -> Vec<(String, Engine)> {
-    let mut engines: Vec<(String, Engine)> = ALL_TIERS
+    ALL_TIERS
         .iter()
         .map(|t| {
             (
@@ -54,24 +50,12 @@ fn tier_engines(artifact: &CompiledModel) -> Vec<(String, Engine)> {
                 Engine::with_config(artifact.module.clone(), ExecConfig::fixed(*t)),
             )
         })
-        .collect();
-    engines.push((
-        "adaptive".to_string(),
-        Engine::with_config(
-            artifact.module.clone(),
-            ExecConfig {
-                policy: TierPolicy::Adaptive {
-                    hot_call_threshold: 2,
-                },
-            },
-        ),
-    ));
-    engines
+        .collect()
 }
 
-/// Run `trials` whole-model trials on every tier (and the mid-promotion
-/// adaptive policy) and assert bit-identical behaviour against the reference
-/// oracle: same results, same trial outputs, same final memory.
+/// Run `trials` whole-model trials on every tier and assert bit-identical
+/// behaviour against the reference oracle: same results, same trial
+/// outputs, same final memory.
 fn differential_whole_model(w: &Workload, config: CompileConfig, trials: usize) {
     let artifact = compile(&w.model, config).expect("compilation succeeds");
     let trial_fn = artifact
@@ -429,7 +413,7 @@ fn frame_pool_reuse_keeps_nested_calls_correct() {
 }
 
 // ---------------------------------------------------------------------------
-// Work stealing vs static chunks on a seeded skewed-cost grid
+// Work stealing vs serial on a seeded skewed-cost grid
 // ---------------------------------------------------------------------------
 
 /// A seeded pseudo-random skewed kernel: cost and busy-work both derive from
@@ -557,7 +541,7 @@ fn run_results_carry_per_run_stats_not_engine_lifetime_aggregates() {
 }
 
 #[test]
-fn adaptive_sessions_match_every_fixed_tier_and_count_promotions() {
+fn sessions_match_on_every_fixed_tier() {
     use distill::{RunSpec, Session};
     let w = predator_prey_s();
     let spec = RunSpec::new(w.inputs.clone(), 4);
@@ -579,92 +563,21 @@ fn adaptive_sessions_match_every_fixed_tier_and_count_promotions() {
         let r = run_with(TierPolicy::Fixed(tier));
         assert_eq!(bits(&r), bits(&oracle), "{tier} diverged from reference");
         assert_eq!(r.passes, oracle.passes, "{tier} pass counts diverged");
-        assert_eq!(
-            r.stats.tier_promotions, 0,
-            "fixed policies never promote: {tier}"
-        );
     }
-    // The adaptive policy promotes the hot trial function mid-run and still
-    // matches the oracle bit for bit.
-    let hot = run_with(TierPolicy::Adaptive {
-        hot_call_threshold: 2,
-    });
-    assert_eq!(bits(&hot), bits(&oracle), "adaptive diverged from reference");
-    assert!(
-        hot.stats.tier_promotions > 0,
-        "4 trials past a threshold of 2 must promote: {:?}",
-        hot.stats
-    );
-    // Below the threshold nothing is promoted.
-    let cold = run_with(TierPolicy::Adaptive {
-        hot_call_threshold: 1 << 40,
-    });
-    assert_eq!(bits(&cold), bits(&oracle), "cold adaptive diverged");
-    assert_eq!(
-        cold.stats.tier_promotions, 0,
-        "below-threshold runs must not promote: {:?}",
-        cold.stats
-    );
 }
 
 #[test]
-fn adaptive_promotion_does_not_double_count_per_run_stats() {
-    use distill::{RunSpec, Session};
-    // A promotion in the middle of a run switches tiers at a call boundary;
-    // the per-run stats delta must keep counting each dispatched instruction
-    // exactly once. Summing per-run deltas over runs that straddle the
-    // promotion must reproduce the engine's lifetime counters.
-    let w = predator_prey_s();
-    let spec = RunSpec::new(w.inputs.clone(), 2);
-    let mut runner = Session::new(&w.model)
-        .tier(TierPolicy::Adaptive {
-            hot_call_threshold: 3,
-        })
-        .build()
-        .expect("runner builds");
-    let first = runner.run(&spec).expect("first run"); // calls 1-2: decoded
-    let second = runner.run(&spec).expect("second run"); // promotes at call 3
-    let third = runner.run(&spec).expect("third run"); // threaded throughout
-    assert_eq!(
-        first.stats.tier_promotions + second.stats.tier_promotions + third.stats.tier_promotions,
-        1,
-        "exactly one promotion across the three runs"
-    );
-    assert_eq!(second.stats.tier_promotions, 1, "promotion lands in run two");
-    let engine = runner.engine().expect("compiled backend has an engine");
-    let lifetime = engine.stats();
-    assert_eq!(
-        first.stats.instructions + second.stats.instructions + third.stats.instructions,
-        lifetime.instructions,
-        "per-run instruction deltas must partition the lifetime count"
-    );
-    assert_eq!(
-        first.stats.calls + second.stats.calls + third.stats.calls,
-        lifetime.calls
-    );
-    // Outputs stay bit-identical across the tier switch.
-    assert_eq!(first.outputs, second.outputs);
-    assert_eq!(second.outputs, third.outputs);
-}
-
-#[test]
-fn work_stealing_matches_static_chunks_on_seeded_skewed_grids() {
+fn work_stealing_matches_serial_on_seeded_skewed_grids() {
     for seed in [987_654_321i64, 42, -7_777_777] {
         let (engine, fid) = seeded_skew_kernel(seed);
         let grid = 257; // deliberately not a multiple of any thread count
         let serial = serial_argmin(&engine, fid, grid).unwrap();
         for threads in [1usize, 2, 4, 8] {
-            let stat = parallel_argmin_static(&engine, fid, grid, threads).unwrap();
             let steal = parallel_argmin(&engine, fid, grid, threads).unwrap();
-            assert_eq!(
-                stat.best_index, serial.best_index,
-                "static, seed {seed}, threads {threads}"
-            );
             assert_eq!(
                 steal.best_index, serial.best_index,
                 "stealing, seed {seed}, threads {threads}"
             );
-            assert_eq!(stat.best_cost.to_bits(), serial.best_cost.to_bits());
             assert_eq!(steal.best_cost.to_bits(), serial.best_cost.to_bits());
             assert_eq!(steal.evaluations, grid);
         }

@@ -231,6 +231,44 @@ fn fusion_knob_is_a_pure_performance_switch() {
     );
 }
 
+/// Regression: an explicit `Session::tier` must win over the tier recorded
+/// in a pre-compiled artifact (`build_with` used to ignore it), and an
+/// unset one must leave the artifact's tier alone.
+#[test]
+fn session_tier_overrides_the_artifacts_tier_in_build_with() {
+    use distill::{Tier, TierPolicy};
+    if TierPolicy::from_env().is_some() {
+        return; // DISTILL_TIER overrides every runner by design.
+    }
+    let w = predator_prey_s();
+    let spec = RunSpec::new(w.inputs.clone(), 4);
+    let artifact = distill::compile(&w.model, distill::CompileConfig::default()).unwrap();
+    let build = |tier: Option<Tier>| {
+        let session = Session::new(&w.model);
+        match tier {
+            Some(t) => session.tier(TierPolicy::Fixed(t)),
+            None => session,
+        }
+        .build_with(artifact.clone())
+        .unwrap()
+    };
+    let policy = |r: &dyn Runner| r.engine().expect("compiled runner").tier_policy();
+
+    let mut reference = build(Some(Tier::Reference));
+    let mut threaded = build(Some(Tier::Threaded));
+    assert_eq!(policy(&*reference), TierPolicy::Fixed(Tier::Reference));
+    assert_eq!(policy(&*threaded), TierPolicy::Fixed(Tier::Threaded));
+    assert_eq!(policy(&*build(None)), artifact.config.tier);
+
+    let a = reference.run(&spec).unwrap();
+    let b = threaded.run(&spec).unwrap();
+    let bits = |r: &distill::RunResult| -> Vec<Vec<u64>> {
+        r.outputs.iter().map(|o| o.iter().map(|v| v.to_bits()).collect()).collect()
+    };
+    assert_eq!(bits(&a), bits(&b));
+    assert_eq!(a.passes, b.passes);
+}
+
 /// The boxed runner can be driven generically.
 fn drive(runner: &mut dyn Runner, spec: &RunSpec) -> usize {
     runner.run(spec).map(|r| r.outputs.len()).unwrap_or(0)

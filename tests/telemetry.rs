@@ -46,7 +46,6 @@ fn snapshot_delta_equals_run_result_stats() {
     assert_eq!(delta("run.frame_pool_hits"), result.stats.frame_pool_hits);
     assert_eq!(delta("run.fused_ops"), result.stats.fused_ops);
     assert_eq!(delta("run.frame_slots"), result.stats.frame_slots);
-    assert_eq!(delta("run.tier_promotions"), result.stats.tier_promotions);
     assert_eq!(delta("run.completed"), 1);
 
     // The engine-level dispatch probes fired too. Each per-tier `calls`
