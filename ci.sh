@@ -18,6 +18,12 @@ cargo clippy --workspace -- -D warnings
 echo "== test"
 cargo test -q --workspace
 
+echo "== test on the fused tier (session-level suites run the default, threaded, tier)"
+# serve_differential, sweep_determinism, serve_faults and telemetry run
+# whatever TierPolicy::default() picks; this pass keeps the fused
+# interpreter, a tier-ladder rung, covered by them too.
+DISTILL_TIER=fused cargo test -q
+
 echo "== benches compile"
 cargo bench --no-run --workspace
 

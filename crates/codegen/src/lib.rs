@@ -70,12 +70,12 @@ pub struct CompileConfig {
     /// larger batch requests. `0` disables the batched entry point.
     pub batch_capacity: usize,
     /// Which execution tier the engine runs the compiled module on — see
-    /// [`distill_exec::TierPolicy`]. Defaults to the fused interpreter;
-    /// `Fixed(Tier::Decoded)` is the unfused A/B baseline,
-    /// `Fixed(Tier::Threaded)` the direct-threaded dispatcher. Codegen
-    /// itself ignores the knob — it rides along so drivers construct their engines
-    /// accordingly (the `DISTILL_TIER` environment override still wins at
-    /// engine construction).
+    /// [`distill_exec::TierPolicy`]. Defaults to the direct-threaded
+    /// production tier; `Fixed(Tier::Fused)` and `Fixed(Tier::Decoded)` are
+    /// the benchmark's `match`-interpreter rungs. Codegen itself ignores the
+    /// knob — it rides along so drivers construct their engines accordingly
+    /// (the `DISTILL_TIER` environment override still wins at engine
+    /// construction).
     pub tier: distill_exec::TierPolicy,
 }
 

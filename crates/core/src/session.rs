@@ -113,7 +113,7 @@ impl Session {
     }
 
     /// Select the execution tier the runner's engine uses — see
-    /// [`distill_exec::TierPolicy`]. Defaults to the fused interpreter, or
+    /// [`distill_exec::TierPolicy`]. Defaults to the threaded tier, or
     /// under [`Session::build_with`] to the tier the artifact was compiled
     /// for.
     ///

@@ -5,8 +5,11 @@
 //! Moved verbatim out of the engine when execution was split into tiers;
 //! the loop never touches the IR, never clones, and never string-formats on
 //! the happy path. The scalar helpers at the bottom (`exec_bin`,
-//! `exec_cmp`, `exec_math`, `read_operand`) are the single definition
-//! of operator semantics, shared by the reference and threaded tiers.
+//! `exec_cmp`, `exec_math`, `read_operand`, and the `float_bin` /
+//! `int_bin` / `float_cmp` / `rand_draw` cores they share with the threaded
+//! tier's fast paths) are the single definition of operator semantics,
+//! shared by the reference and threaded tiers. `exec_decoded_inst` is also
+//! the threaded tier's fallback for every op whose fast path declines.
 
 use crate::decode::{DecodedFunction, DecodedInst, DecodedTerm, Operand, PhiEdge};
 use crate::engine::{EngineCtx, ExecError, Frame, Value};
@@ -422,14 +425,22 @@ pub(crate) fn exec_rand(
         .load_slot(addr)?
         .as_i64()
         .ok_or_else(|| ExecError::Type("PRNG state must be an integer".into()))?;
-    let mut rng = SplitMix64::new(state_bits as u64);
+    let (out, next) = rand_draw(kind, state_bits);
+    ctx.store_slot(addr, Value::I64(next))?;
+    Ok(Value::F64(out))
+}
+
+/// One PRNG draw from generator state `state`: the sample and the state to
+/// write back.
+#[inline(always)]
+pub(crate) fn rand_draw(kind: Intrinsic, state: i64) -> (f64, i64) {
+    let mut rng = SplitMix64::new(state as u64);
     let out = match kind {
         Intrinsic::RandUniform => rng.uniform(),
         Intrinsic::RandNormal => rng.normal(),
         _ => unreachable!(),
     };
-    ctx.store_slot(addr, Value::I64(rng.state as i64))?;
-    Ok(Value::F64(out))
+    (out, rng.state as i64)
 }
 
 /// Resolve a folded GEP address: base pointer, constant offset, dynamic
@@ -498,46 +509,58 @@ pub(crate) fn exec_bin(op: BinOp, a: Value, b: Value) -> Result<Value, ExecError
             a.as_f64().ok_or_else(|| ExecError::Type("float op".into()))?,
             b.as_f64().ok_or_else(|| ExecError::Type("float op".into()))?,
         );
-        let r = match op {
-            BinOp::FAdd => x + y,
-            BinOp::FSub => x - y,
-            BinOp::FMul => x * y,
-            BinOp::FDiv => x / y,
-            BinOp::FRem => x % y,
-            _ => unreachable!(),
-        };
-        Ok(Value::F64(r))
+        Ok(Value::F64(float_bin(op, x, y)))
     } else {
         let (x, y) = (
             a.as_i64().ok_or_else(|| ExecError::Type("int op".into()))?,
             b.as_i64().ok_or_else(|| ExecError::Type("int op".into()))?,
         );
-        let r = match op {
-            BinOp::Add => x.wrapping_add(y),
-            BinOp::Sub => x.wrapping_sub(y),
-            BinOp::Mul => x.wrapping_mul(y),
-            BinOp::SDiv => {
-                if y == 0 {
-                    return Err(ExecError::DivisionByZero);
-                }
-                x.wrapping_div(y)
-            }
-            BinOp::SRem => {
-                if y == 0 {
-                    return Err(ExecError::DivisionByZero);
-                }
-                x.wrapping_rem(y)
-            }
-            BinOp::And => x & y,
-            BinOp::Or => x | y,
-            BinOp::Xor => x ^ y,
-            BinOp::Shl => x.wrapping_shl(y as u32),
-            BinOp::LShr => ((x as u64).wrapping_shr(y as u32)) as i64,
-            BinOp::AShr => x.wrapping_shr(y as u32),
-            _ => unreachable!(),
-        };
-        Ok(Value::I64(r))
+        int_bin(op, x, y).map(Value::I64).ok_or(ExecError::DivisionByZero)
     }
+}
+
+/// What a float binop computes. Inlined everywhere, so a call with a
+/// constant `op` (the threaded tier's per-operator handlers) folds to the
+/// one instruction.
+#[inline(always)]
+pub(crate) fn float_bin(op: BinOp, x: f64, y: f64) -> f64 {
+    match op {
+        BinOp::FAdd => x + y,
+        BinOp::FSub => x - y,
+        BinOp::FMul => x * y,
+        BinOp::FDiv => x / y,
+        BinOp::FRem => x % y,
+        _ => unreachable!(),
+    }
+}
+
+/// What an integer binop computes; `None` is a division by zero.
+#[inline(always)]
+pub(crate) fn int_bin(op: BinOp, x: i64, y: i64) -> Option<i64> {
+    Some(match op {
+        BinOp::Add => x.wrapping_add(y),
+        BinOp::Sub => x.wrapping_sub(y),
+        BinOp::Mul => x.wrapping_mul(y),
+        BinOp::SDiv => {
+            if y == 0 {
+                return None;
+            }
+            x.wrapping_div(y)
+        }
+        BinOp::SRem => {
+            if y == 0 {
+                return None;
+            }
+            x.wrapping_rem(y)
+        }
+        BinOp::And => x & y,
+        BinOp::Or => x | y,
+        BinOp::Xor => x ^ y,
+        BinOp::Shl => x.wrapping_shl(y as u32),
+        BinOp::LShr => ((x as u64).wrapping_shr(y as u32)) as i64,
+        BinOp::AShr => x.wrapping_shr(y as u32),
+        _ => unreachable!(),
+    })
 }
 
 pub(crate) fn exec_cmp(pred: CmpPred, a: Value, b: Value) -> Result<Value, ExecError> {
@@ -546,15 +569,7 @@ pub(crate) fn exec_cmp(pred: CmpPred, a: Value, b: Value) -> Result<Value, ExecE
             a.as_f64().ok_or_else(|| ExecError::Type("fcmp".into()))?,
             b.as_f64().ok_or_else(|| ExecError::Type("fcmp".into()))?,
         );
-        match pred {
-            CmpPred::FEq => x == y,
-            CmpPred::FNe => x != y,
-            CmpPred::FLt => x < y,
-            CmpPred::FLe => x <= y,
-            CmpPred::FGt => x > y,
-            CmpPred::FGe => x >= y,
-            _ => unreachable!(),
-        }
+        float_cmp(pred, x, y)
     } else {
         let (x, y) = (
             a.as_i64().ok_or_else(|| ExecError::Type("icmp".into()))?,
@@ -571,6 +586,20 @@ pub(crate) fn exec_cmp(pred: CmpPred, a: Value, b: Value) -> Result<Value, ExecE
         }
     };
     Ok(Value::Bool(r))
+}
+
+/// What a float comparison computes (inlined like [`float_bin`]).
+#[inline(always)]
+pub(crate) fn float_cmp(pred: CmpPred, x: f64, y: f64) -> bool {
+    match pred {
+        CmpPred::FEq => x == y,
+        CmpPred::FNe => x != y,
+        CmpPred::FLt => x < y,
+        CmpPred::FLe => x <= y,
+        CmpPred::FGt => x > y,
+        CmpPred::FGe => x >= y,
+        _ => unreachable!(),
+    }
 }
 
 pub(crate) fn exec_math(kind: Intrinsic, args: &[f64]) -> f64 {

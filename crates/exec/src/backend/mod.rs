@@ -3,16 +3,17 @@
 //! The engine runs the same module at four specialization levels, each one a
 //! [`ExecTier`] implementation over its own prepared form of the code:
 //!
-//! | tier                      | prepared form                    | dispatch            |
-//! |---------------------------|----------------------------------|---------------------|
-//! | [`Tier::Reference`]       | the IR itself                    | IR walk (oracle)    |
-//! | [`Tier::Decoded`]         | predecoded arrays                | `match` interpreter |
-//! | [`Tier::Fused`]           | predecoded + superinstructions   | `match` interpreter |
-//! | [`Tier::Threaded`]        | per-block `(handler, op)` arrays | indirect call       |
+//! | tier                      | prepared form                    | dispatch            | role               |
+//! |---------------------------|----------------------------------|---------------------|--------------------|
+//! | [`Tier::Reference`]       | the IR itself                    | IR walk             | oracle             |
+//! | [`Tier::Decoded`]         | predecoded arrays                | `match` interpreter | benchmark rung     |
+//! | [`Tier::Fused`]           | predecoded + superinstructions   | `match` interpreter | benchmark rung     |
+//! | [`Tier::Threaded`]        | per-block `(handler, op)` arrays | indirect call       | production default |
 //!
 //! Which tier a call runs on is a [`TierPolicy`]: `Fixed(tier)` pins every
-//! function. All tiers are pinned bit-identical to the reference oracle by
-//! the registry-driven differential suites.
+//! function; the default is `Fixed(Tier::Threaded)`. All tiers are pinned
+//! bit-identical to the reference oracle by the registry-driven
+//! differential suites.
 //!
 //! # Adding a tier
 //!
@@ -60,6 +61,7 @@ pub enum Tier {
     Fused,
     /// Direct-threaded dispatch over the fused stream: per-block arrays of
     /// `(handler fn-pointer, packed operands)`, one indirect call per op.
+    /// The production tier ([`TierPolicy::default`]).
     Threaded,
 }
 
@@ -128,10 +130,10 @@ impl fmt::Display for TierPolicy {
 }
 
 impl Default for TierPolicy {
-    /// The fused interpreter — today's best always-safe default (the
-    /// threaded tier is opt-in per policy until it has soaked).
+    /// The direct-threaded tier: the fastest tier on every benchmark
+    /// workload and bit-identical to the reference oracle.
     fn default() -> TierPolicy {
-        TierPolicy::Fixed(Tier::Fused)
+        TierPolicy::Fixed(Tier::Threaded)
     }
 }
 
@@ -374,6 +376,6 @@ mod tests {
     #[test]
     fn policy_labels_are_stable() {
         assert_eq!(TierPolicy::Fixed(Tier::Threaded).to_string(), "threaded");
-        assert_eq!(TierPolicy::default(), TierPolicy::Fixed(Tier::Fused));
+        assert_eq!(TierPolicy::default(), TierPolicy::Fixed(Tier::Threaded));
     }
 }

@@ -1,15 +1,24 @@
-//! The direct-threaded tier: dispatch over the fused stream via indirect
-//! calls instead of the interpreter's big `match`.
+//! The direct-threaded tier — the production tier (`TierPolicy::default()`):
+//! dispatch over the fused stream via indirect calls instead of the
+//! interpreter's big `match`.
 //!
 //! At prepare time every fused instruction is paired with a **handler
 //! function pointer** selected once from its opcode and operand shape, so a
 //! block becomes a flat array of `(handler, packed operands)` and the
 //! dispatch loop is one indirect call per instruction — the classic
 //! direct-threading structure, minus computed goto (not expressible in safe
-//! Rust). Handler selection also specializes the hottest shapes (float
-//! binops on two registers, integer add with an immediate) down to
-//! branch-free bodies, which is where the win over the fused interpreter
-//! comes from.
+//! Rust).
+//!
+//! Every (variant × operand shape) row that is at least 1 % of the dynamic
+//! dispatches of a `dispatch_heavy` or `boundary_heavy` benchmark family has
+//! a handler of its own, monomorphized per operator, so neither the opcode
+//! nor the operand kinds are re-matched at run time. Each of them has a
+//! **tag-checked fast path** for the tags the IR's static types promise
+//! (`Some(Value::F64(x))` in a register, `Slot::F64` in memory, a
+//! `Value::Bool` condition, …) and no side effect until every check has
+//! passed. Otherwise it hands the whole op to the interpreter's arm, so
+//! coercions, errors and counters stay defined once in [`super::interp`].
+//! Shapes without a row of their own run that arm directly.
 //!
 //! Fuel and the `instructions` counter are charged **per block** on entry
 //! rather than per op: totals on successful runs are identical to the fused
@@ -20,11 +29,13 @@
 //! run succeeds under this tier iff it succeeds under the fused tier.
 
 use super::interp::{
-    self, charge_fuel, exec_bin, read_operand, read_reg, enter_block, exec_term, Flow,
+    self, enter_block, exec_math, exec_term, float_bin, float_cmp, int_bin, rand_draw,
+    read_operand, Flow,
 };
 use crate::decode::{DecodedFunction, DecodedInst, DecodedTerm, Operand, PhiEdge};
-use crate::engine::{EngineCtx, ExecError, Frame, Value};
-use distill_ir::BinOp;
+use crate::engine::{EngineCtx, ExecError, Frame, Slot, Value};
+use distill_ir::{BinOp, CmpPred, UnOp};
+use ops::{Op, Pred};
 
 /// A handler executes one packed op against the engine state and returns
 /// the value for the op's destination register. `code` is the whole
@@ -40,7 +51,7 @@ type Handler = fn(
 
 /// One instruction of the threaded stream: the pre-selected handler plus
 /// the packed operands it interprets (the fused instruction, kept whole so
-/// generic handlers can destructure it).
+/// the fallback can hand it to the interpreter's arm).
 #[derive(Debug, Clone)]
 pub struct ThreadedOp {
     handler: Handler,
@@ -100,46 +111,136 @@ fn thread_function(df: &DecodedFunction) -> ThreadedFunction {
     }
 }
 
-/// Pick the handler for an instruction from its opcode and operand shape.
-/// The specialized rows avoid re-matching the opcode and the operand tags
-/// at run time; everything else falls back to a per-variant generic.
-fn select_handler(inst: &DecodedInst) -> Handler {
-    match inst {
-        DecodedInst::Bin {
-            op,
-            lhs: Operand::Reg(_),
-            rhs: Operand::Reg(_),
-        } => match op {
-            BinOp::FAdd => h_fadd_rr,
-            BinOp::FSub => h_fsub_rr,
-            BinOp::FMul => h_fmul_rr,
-            BinOp::FDiv => h_fdiv_rr,
-            _ => h_bin,
-        },
-        DecodedInst::Bin { .. } => h_bin,
-        DecodedInst::BinRI { op: BinOp::Add, .. } => h_iadd_ri,
-        DecodedInst::BinRI { .. } => h_bin_ri,
-        DecodedInst::BinIR { .. } => h_bin_ir,
-        DecodedInst::Un { .. } => h_un,
-        DecodedInst::Cmp { .. } => h_cmp,
-        DecodedInst::Select { .. } => h_select,
-        DecodedInst::Call { .. } => h_call,
-        DecodedInst::MathCall { .. } => h_math,
-        DecodedInst::RandCall { .. } => h_rand,
-        DecodedInst::Alloca { .. } => h_alloca,
-        DecodedInst::Load { .. } => h_load,
-        DecodedInst::Store { .. } => h_store,
-        DecodedInst::Gep { .. } => h_gep,
-        DecodedInst::InvalidGep { .. } => h_generic,
-        DecodedInst::Cast { .. } => h_cast,
-        DecodedInst::GlobalAddr { .. } => h_global_addr,
-        DecodedInst::LoadAbs { .. } => h_load_abs,
-        DecodedInst::StoreAbs { .. } => h_store_abs,
-        DecodedInst::GepLoad { .. } => h_gep_load,
-        DecodedInst::GepStore { .. } => h_gep_store,
-        DecodedInst::LoadBin { .. } => h_load_bin,
-        DecodedInst::BinStore { .. } => h_bin_store,
+/// Operator markers: a handler generic over `O: Op` (or `P: Pred`) is
+/// monomorphized per operator, and the shared scalar definitions in
+/// `interp` fold to one instruction once the operator is a constant.
+mod ops {
+    use distill_ir::{BinOp, CmpPred};
+
+    pub(super) trait Op {
+        const OP: BinOp;
     }
+
+    pub(super) trait Pred {
+        const PRED: CmpPred;
+    }
+
+    macro_rules! markers {
+        ($tr:ident::$c:ident: $ty:ident [$($name:ident),*]) => {$(
+            pub(super) struct $name;
+            impl $tr for $name {
+                const $c: $ty = $ty::$name;
+            }
+        )*};
+    }
+
+    markers!(Op::OP: BinOp [
+        FAdd, FSub, FMul, FDiv, FRem, Add, Sub, Mul, SDiv, SRem, And, Or, Xor, Shl, LShr, AShr
+    ]);
+    markers!(Pred::PRED: CmpPred [FEq, FNe, FLt, FLe, FGt, FGe]);
+}
+
+/// `$h` monomorphized for the runtime operator `$val`, or `None` when the
+/// operator is not in the list.
+macro_rules! monomorphize {
+    ($val:expr, $h:ident, $ty:ident [$($name:ident),*]) => {
+        match $val {
+            $($ty::$name => Some($h::<ops::$name> as Handler),)*
+            _ => None,
+        }
+    };
+}
+
+macro_rules! float_op {
+    ($val:expr, $h:ident) => {
+        monomorphize!($val, $h, BinOp [FAdd, FSub, FMul, FDiv, FRem])
+    };
+}
+
+macro_rules! int_op {
+    ($val:expr, $h:ident) => {
+        monomorphize!($val, $h, BinOp [Add, Sub, Mul, SDiv, SRem, And, Or, Xor, Shl, LShr, AShr])
+    };
+}
+
+/// Pick the handler for an instruction from its opcode and operand shape.
+fn select_handler(inst: &DecodedInst) -> Handler {
+    use DecodedInst as D;
+    use Operand::{Imm, Reg};
+    let special = match inst {
+        D::Bin {
+            op,
+            lhs: Reg(_),
+            rhs: Reg(_),
+        } => float_op!(*op, h_bin_rr_f).or(int_op!(*op, h_bin_rr_i)),
+        D::BinRI {
+            op,
+            imm: Value::F64(_),
+            ..
+        }
+        | D::BinIR {
+            op,
+            imm: Value::F64(_),
+            ..
+        } => float_op!(*op, h_bin_imm_f),
+        D::BinRI {
+            op,
+            imm: Value::I64(_),
+            ..
+        }
+        | D::BinIR {
+            op,
+            imm: Value::I64(_),
+            ..
+        } => int_op!(*op, h_bin_imm_i),
+        D::LoadBin {
+            op,
+            ptr: Imm(Value::Ptr(_)),
+            other: Reg(_),
+            ..
+        } => float_op!(*op, h_load_bin_f),
+        D::LoadBin {
+            op,
+            ptr: Imm(Value::Ptr(_)),
+            other: Imm(Value::I64(_)),
+            ..
+        } => int_op!(*op, h_load_bin_imm_i),
+        D::BinStore {
+            op,
+            ptr: Imm(Value::Ptr(_)),
+            ..
+        } => float_op!(*op, h_bin_store_f),
+        D::LoadAbs { .. } => Some(h_load_abs as Handler),
+        D::StoreAbs { value: Reg(_), .. } => Some(h_store_abs_r as Handler),
+        D::StoreAbs {
+            value: Imm(Value::F64(_)),
+            ..
+        } => Some(h_store_abs_imm as Handler),
+        D::RandCall {
+            state: Imm(Value::Ptr(_)),
+            ..
+        } => Some(h_rand_abs as Handler),
+        D::MathCall { .. } => Some(h_math as Handler),
+        D::Cmp {
+            pred,
+            lhs: Reg(_),
+            rhs: Reg(_),
+        } => monomorphize!(*pred, h_fcmp_rr, CmpPred [FEq, FNe, FLt, FLe, FGt, FGe]),
+        D::Select { cond: Reg(_), .. } => Some(h_select_r as Handler),
+        D::Un {
+            op: UnOp::FNeg,
+            val: Reg(_),
+        } => Some(h_fneg_r as Handler),
+        D::GepLoad {
+            base: Imm(Value::Ptr(_)),
+            dyn_steps,
+            ..
+        } if matches!(**dyn_steps, [(Reg(_), _)]) => Some(h_gep_load_abs as Handler),
+        // Calls must recurse within this tier.
+        D::Call { .. } => Some(h_call as Handler),
+        _ => None,
+    };
+    special.unwrap_or(h_generic)
 }
 
 /// Call a function within the threaded stream.
@@ -212,321 +313,477 @@ fn exec_in(
 }
 
 // ---------------------------------------------------------------------------
-// Specialized handlers: opcode and operand shape resolved at prepare time.
+// Tag probes for the fast paths: `None` means "not the promised tag", never
+// an error — the caller then falls back to the interpreter's arm.
 // ---------------------------------------------------------------------------
 
-/// Destructure the two register indices of a specialized float binop.
 #[inline(always)]
-fn rr(inst: &DecodedInst) -> (u32, u32) {
-    match inst {
-        DecodedInst::Bin {
-            lhs: Operand::Reg(a),
-            rhs: Operand::Reg(b),
-            ..
-        } => (*a, *b),
-        _ => unreachable!("handler selected for reg-reg binop"),
+fn f64_reg(regs: &Frame, i: u32) -> Option<f64> {
+    match regs[i as usize] {
+        Some(Value::F64(x)) => Some(x),
+        _ => None,
     }
 }
 
 #[inline(always)]
-fn f64_reg(regs: &Frame, i: u32) -> Result<f64, ExecError> {
-    read_reg(regs, i)?
-        .as_f64()
-        .ok_or_else(|| ExecError::Type("float op".into()))
+fn i64_reg(regs: &Frame, i: u32) -> Option<i64> {
+    match regs[i as usize] {
+        Some(Value::I64(x)) => Some(x),
+        _ => None,
+    }
 }
 
-macro_rules! float_rr_handler {
-    ($name:ident, $op:tt) => {
-        fn $name(
-            _ctx: &mut EngineCtx,
-            _code: &[ThreadedFunction],
-            op: &ThreadedOp,
-            regs: &mut Frame,
-            _fuel: &mut u64,
-            _depth: usize,
-        ) -> Result<Value, ExecError> {
-            let (a, b) = rr(&op.inst);
-            Ok(Value::F64(f64_reg(regs, a)? $op f64_reg(regs, b)?))
-        }
-    };
+#[inline(always)]
+fn f64_operand(o: &Operand, regs: &Frame) -> Option<f64> {
+    match *o {
+        Operand::Reg(i) => f64_reg(regs, i),
+        Operand::Imm(Value::F64(x)) => Some(x),
+        _ => None,
+    }
 }
 
-float_rr_handler!(h_fadd_rr, +);
-float_rr_handler!(h_fsub_rr, -);
-float_rr_handler!(h_fmul_rr, *);
-float_rr_handler!(h_fdiv_rr, /);
-
-/// Integer add with an inline immediate — the loop-counter bump of every
-/// counted loop, hot enough for its own row.
-fn h_iadd_ri(
-    _ctx: &mut EngineCtx,
-    _code: &[ThreadedFunction],
-    op: &ThreadedOp,
-    regs: &mut Frame,
-    _fuel: &mut u64,
-    _depth: usize,
-) -> Result<Value, ExecError> {
-    let DecodedInst::BinRI { reg, imm, .. } = &op.inst else {
-        unreachable!("handler selected for BinRI");
-    };
-    let x = read_reg(regs, *reg)?
-        .as_i64()
-        .ok_or_else(|| ExecError::Type("int op".into()))?;
-    let y = imm.as_i64().ok_or_else(|| ExecError::Type("int op".into()))?;
-    Ok(Value::I64(x.wrapping_add(y)))
+#[inline(always)]
+fn f64_slot(ctx: &EngineCtx, addr: usize) -> Option<f64> {
+    match ctx.memory.get(addr) {
+        Some(Slot::F64(x)) => Some(*x),
+        _ => None,
+    }
 }
 
 // ---------------------------------------------------------------------------
-// Per-variant generic handlers: destructure and run the interpreter's arm.
+// Shape-specialized handlers. Each destructures the shape `select_handler`
+// chose it for, so the `else` arms are unreachable.
 // ---------------------------------------------------------------------------
 
-macro_rules! variant_handler {
-    ($name:ident, $pat:pat) => {
-        fn $name(
-            ctx: &mut EngineCtx,
-            code: &[ThreadedFunction],
-            op: &ThreadedOp,
-            regs: &mut Frame,
-            fuel: &mut u64,
-            depth: usize,
-        ) -> Result<Value, ExecError> {
-            debug_assert!(matches!(&op.inst, $pat));
-            exec_generic(ctx, code, op, regs, fuel, depth)
+/// Float `reg OP reg`.
+fn h_bin_rr_f<O: Op>(
+    ctx: &mut EngineCtx,
+    code: &[ThreadedFunction],
+    op: &ThreadedOp,
+    regs: &mut Frame,
+    fuel: &mut u64,
+    depth: usize,
+) -> Result<Value, ExecError> {
+    let DecodedInst::Bin {
+        lhs: Operand::Reg(a),
+        rhs: Operand::Reg(b),
+        ..
+    } = op.inst
+    else {
+        unreachable!("handler selected for reg-reg Bin");
+    };
+    if let (Some(x), Some(y)) = (f64_reg(regs, a), f64_reg(regs, b)) {
+        return Ok(Value::F64(float_bin(O::OP, x, y)));
+    }
+    h_generic(ctx, code, op, regs, fuel, depth)
+}
+
+/// Integer `reg OP reg`.
+fn h_bin_rr_i<O: Op>(
+    ctx: &mut EngineCtx,
+    code: &[ThreadedFunction],
+    op: &ThreadedOp,
+    regs: &mut Frame,
+    fuel: &mut u64,
+    depth: usize,
+) -> Result<Value, ExecError> {
+    let DecodedInst::Bin {
+        lhs: Operand::Reg(a),
+        rhs: Operand::Reg(b),
+        ..
+    } = op.inst
+    else {
+        unreachable!("handler selected for reg-reg Bin");
+    };
+    if let (Some(x), Some(y)) = (i64_reg(regs, a), i64_reg(regs, b)) {
+        if let Some(r) = int_bin(O::OP, x, y) {
+            return Ok(Value::I64(r));
         }
-    };
+    }
+    h_generic(ctx, code, op, regs, fuel, depth)
 }
 
-variant_handler!(h_bin, DecodedInst::Bin { .. });
-variant_handler!(h_bin_ir, DecodedInst::BinIR { .. });
-variant_handler!(h_un, DecodedInst::Un { .. });
-variant_handler!(h_cmp, DecodedInst::Cmp { .. });
-variant_handler!(h_select, DecodedInst::Select { .. });
-variant_handler!(h_math, DecodedInst::MathCall { .. });
-variant_handler!(h_rand, DecodedInst::RandCall { .. });
-variant_handler!(h_alloca, DecodedInst::Alloca { .. });
-variant_handler!(h_cast, DecodedInst::Cast { .. });
-variant_handler!(h_global_addr, DecodedInst::GlobalAddr { .. });
-
-fn h_bin_ri(
-    _ctx: &mut EngineCtx,
-    _code: &[ThreadedFunction],
-    op: &ThreadedOp,
-    regs: &mut Frame,
-    _fuel: &mut u64,
-    _depth: usize,
-) -> Result<Value, ExecError> {
-    let DecodedInst::BinRI { op: o, reg, imm } = &op.inst else {
-        unreachable!("handler selected for BinRI");
-    };
-    exec_bin(*o, read_reg(regs, *reg)?, *imm)
-}
-
-fn h_load(
+/// Float `reg OP imm` (`BinRI`) or `imm OP reg` (`BinIR`).
+fn h_bin_imm_f<O: Op>(
     ctx: &mut EngineCtx,
-    _code: &[ThreadedFunction],
+    code: &[ThreadedFunction],
     op: &ThreadedOp,
     regs: &mut Frame,
-    _fuel: &mut u64,
-    _depth: usize,
+    fuel: &mut u64,
+    depth: usize,
 ) -> Result<Value, ExecError> {
-    let DecodedInst::Load { ptr } = &op.inst else {
-        unreachable!("handler selected for Load");
+    let (imm_lhs, reg, k) = match op.inst {
+        DecodedInst::BinRI {
+            reg,
+            imm: Value::F64(k),
+            ..
+        } => (false, reg, k),
+        DecodedInst::BinIR {
+            reg,
+            imm: Value::F64(k),
+            ..
+        } => (true, reg, k),
+        _ => unreachable!("handler selected for float BinRI/BinIR"),
     };
-    ctx.stats.loads += 1;
-    let addr = match read_operand(ptr, regs)? {
-        Value::Ptr(p) => p,
-        other => return Err(ExecError::Type(format!("load from non-pointer {other:?}"))),
-    };
-    ctx.load_slot(addr)
+    if let Some(x) = f64_reg(regs, reg) {
+        let (a, b) = if imm_lhs { (k, x) } else { (x, k) };
+        return Ok(Value::F64(float_bin(O::OP, a, b)));
+    }
+    h_generic(ctx, code, op, regs, fuel, depth)
 }
 
-fn h_store(
+/// Integer `reg OP imm` (`BinRI`) or `imm OP reg` (`BinIR`) — the loop
+/// counters and the PRNG seed mixing.
+fn h_bin_imm_i<O: Op>(
     ctx: &mut EngineCtx,
-    _code: &[ThreadedFunction],
+    code: &[ThreadedFunction],
     op: &ThreadedOp,
     regs: &mut Frame,
-    _fuel: &mut u64,
-    _depth: usize,
+    fuel: &mut u64,
+    depth: usize,
 ) -> Result<Value, ExecError> {
-    let DecodedInst::Store { ptr, value } = &op.inst else {
-        unreachable!("handler selected for Store");
+    let (imm_lhs, reg, k) = match op.inst {
+        DecodedInst::BinRI {
+            reg,
+            imm: Value::I64(k),
+            ..
+        } => (false, reg, k),
+        DecodedInst::BinIR {
+            reg,
+            imm: Value::I64(k),
+            ..
+        } => (true, reg, k),
+        _ => unreachable!("handler selected for integer BinRI/BinIR"),
     };
-    ctx.stats.stores += 1;
-    let addr = match read_operand(ptr, regs)? {
-        Value::Ptr(p) => p,
-        other => return Err(ExecError::Type(format!("store to non-pointer {other:?}"))),
-    };
-    let v = read_operand(value, regs)?;
-    ctx.store_slot(addr, v)?;
-    Ok(Value::Unit)
+    if let Some(x) = i64_reg(regs, reg) {
+        let (a, b) = if imm_lhs { (k, x) } else { (x, k) };
+        if let Some(r) = int_bin(O::OP, a, b) {
+            return Ok(Value::I64(r));
+        }
+    }
+    h_generic(ctx, code, op, regs, fuel, depth)
 }
 
-fn h_gep(
+/// Float `load [abs] OP reg`, the load on either side.
+fn h_load_bin_f<O: Op>(
     ctx: &mut EngineCtx,
-    _code: &[ThreadedFunction],
+    code: &[ThreadedFunction],
     op: &ThreadedOp,
     regs: &mut Frame,
-    _fuel: &mut u64,
-    _depth: usize,
+    fuel: &mut u64,
+    depth: usize,
 ) -> Result<Value, ExecError> {
-    let DecodedInst::Gep {
-        base,
-        const_offset,
-        dyn_steps,
+    let DecodedInst::LoadBin {
+        ptr: Operand::Imm(Value::Ptr(addr)),
+        other: Operand::Reg(r),
+        load_lhs,
+        ..
+    } = op.inst
+    else {
+        unreachable!("handler selected for absolute float LoadBin");
+    };
+    if *fuel > 0 {
+        if let (Some(m), Some(x)) = (f64_slot(ctx, addr), f64_reg(regs, r)) {
+            *fuel -= 1;
+            ctx.stats.loads += 1;
+            ctx.stats.fused_ops += 1;
+            let (a, b) = if load_lhs { (m, x) } else { (x, m) };
+            return Ok(Value::F64(float_bin(O::OP, a, b)));
+        }
+    }
+    h_generic(ctx, code, op, regs, fuel, depth)
+}
+
+/// Integer `load [abs] OP imm` — the trial loops' counter reads.
+fn h_load_bin_imm_i<O: Op>(
+    ctx: &mut EngineCtx,
+    code: &[ThreadedFunction],
+    op: &ThreadedOp,
+    regs: &mut Frame,
+    fuel: &mut u64,
+    depth: usize,
+) -> Result<Value, ExecError> {
+    let DecodedInst::LoadBin {
+        ptr: Operand::Imm(Value::Ptr(addr)),
+        other: Operand::Imm(Value::I64(k)),
+        load_lhs,
+        ..
+    } = op.inst
+    else {
+        unreachable!("handler selected for absolute integer LoadBin");
+    };
+    if *fuel > 0 {
+        if let Some(Slot::I64(m)) = ctx.memory.get(addr) {
+            let (a, b) = if load_lhs { (*m, k) } else { (k, *m) };
+            if let Some(r) = int_bin(O::OP, a, b) {
+                *fuel -= 1;
+                ctx.stats.loads += 1;
+                ctx.stats.fused_ops += 1;
+                return Ok(Value::I64(r));
+            }
+        }
+    }
+    h_generic(ctx, code, op, regs, fuel, depth)
+}
+
+/// Float `store [abs] <- lhs OP rhs`.
+fn h_bin_store_f<O: Op>(
+    ctx: &mut EngineCtx,
+    code: &[ThreadedFunction],
+    op: &ThreadedOp,
+    regs: &mut Frame,
+    fuel: &mut u64,
+    depth: usize,
+) -> Result<Value, ExecError> {
+    let DecodedInst::BinStore {
+        lhs,
+        rhs,
+        ptr: Operand::Imm(Value::Ptr(addr)),
+        ..
     } = &op.inst
     else {
-        unreachable!("handler selected for Gep");
+        unreachable!("handler selected for absolute float BinStore");
     };
-    Ok(Value::Ptr(interp::gep_addr(
-        ctx,
-        base,
-        *const_offset,
-        dyn_steps,
-        regs,
-    )?))
+    if *fuel > 0 && *addr < ctx.memory.len() {
+        if let (Some(x), Some(y)) = (f64_operand(lhs, regs), f64_operand(rhs, regs)) {
+            ctx.memory[*addr] = Slot::F64(float_bin(O::OP, x, y));
+            *fuel -= 1;
+            ctx.stats.stores += 1;
+            ctx.stats.fused_ops += 1;
+            return Ok(Value::Unit);
+        }
+    }
+    h_generic(ctx, code, op, regs, fuel, depth)
 }
 
 fn h_load_abs(
     ctx: &mut EngineCtx,
-    _code: &[ThreadedFunction],
+    code: &[ThreadedFunction],
     op: &ThreadedOp,
-    _regs: &mut Frame,
-    _fuel: &mut u64,
-    _depth: usize,
+    regs: &mut Frame,
+    fuel: &mut u64,
+    depth: usize,
 ) -> Result<Value, ExecError> {
-    let DecodedInst::LoadAbs { addr } = &op.inst else {
+    let DecodedInst::LoadAbs { addr } = op.inst else {
         unreachable!("handler selected for LoadAbs");
     };
-    ctx.stats.loads += 1;
-    ctx.stats.fused_ops += 1;
-    ctx.load_slot(*addr)
+    if let Some(x) = f64_slot(ctx, addr) {
+        ctx.stats.loads += 1;
+        ctx.stats.fused_ops += 1;
+        return Ok(Value::F64(x));
+    }
+    h_generic(ctx, code, op, regs, fuel, depth)
 }
 
-fn h_store_abs(
+/// `store [abs] <- reg` of a float or an integer (the trial counters).
+fn h_store_abs_r(
     ctx: &mut EngineCtx,
-    _code: &[ThreadedFunction],
-    op: &ThreadedOp,
-    regs: &mut Frame,
-    _fuel: &mut u64,
-    _depth: usize,
-) -> Result<Value, ExecError> {
-    let DecodedInst::StoreAbs { addr, value } = &op.inst else {
-        unreachable!("handler selected for StoreAbs");
-    };
-    ctx.stats.stores += 1;
-    ctx.stats.fused_ops += 1;
-    let v = read_operand(value, regs)?;
-    ctx.store_slot(*addr, v)?;
-    Ok(Value::Unit)
-}
-
-fn h_gep_load(
-    ctx: &mut EngineCtx,
-    _code: &[ThreadedFunction],
+    code: &[ThreadedFunction],
     op: &ThreadedOp,
     regs: &mut Frame,
     fuel: &mut u64,
-    _depth: usize,
+    depth: usize,
+) -> Result<Value, ExecError> {
+    let DecodedInst::StoreAbs {
+        addr,
+        value: Operand::Reg(r),
+    } = op.inst
+    else {
+        unreachable!("handler selected for register StoreAbs");
+    };
+    let value = match regs[r as usize] {
+        Some(Value::F64(x)) => Slot::F64(x),
+        Some(Value::I64(x)) => Slot::I64(x),
+        _ => return h_generic(ctx, code, op, regs, fuel, depth),
+    };
+    if let Some(slot) = ctx.memory.get_mut(addr) {
+        *slot = value;
+        ctx.stats.stores += 1;
+        ctx.stats.fused_ops += 1;
+        return Ok(Value::Unit);
+    }
+    h_generic(ctx, code, op, regs, fuel, depth)
+}
+
+/// `store [abs] <- float imm` — state resets.
+fn h_store_abs_imm(
+    ctx: &mut EngineCtx,
+    code: &[ThreadedFunction],
+    op: &ThreadedOp,
+    regs: &mut Frame,
+    fuel: &mut u64,
+    depth: usize,
+) -> Result<Value, ExecError> {
+    let DecodedInst::StoreAbs {
+        addr,
+        value: Operand::Imm(Value::F64(x)),
+    } = op.inst
+    else {
+        unreachable!("handler selected for float-immediate StoreAbs");
+    };
+    if let Some(slot) = ctx.memory.get_mut(addr) {
+        *slot = Slot::F64(x);
+        ctx.stats.stores += 1;
+        ctx.stats.fused_ops += 1;
+        return Ok(Value::Unit);
+    }
+    h_generic(ctx, code, op, regs, fuel, depth)
+}
+
+/// A PRNG draw whose state lives at an absolute address.
+fn h_rand_abs(
+    ctx: &mut EngineCtx,
+    code: &[ThreadedFunction],
+    op: &ThreadedOp,
+    regs: &mut Frame,
+    fuel: &mut u64,
+    depth: usize,
+) -> Result<Value, ExecError> {
+    let DecodedInst::RandCall {
+        kind,
+        state: Operand::Imm(Value::Ptr(addr)),
+    } = op.inst
+    else {
+        unreachable!("handler selected for absolute RandCall");
+    };
+    if let Some(Slot::I64(state)) = ctx.memory.get_mut(addr) {
+        let (out, next) = rand_draw(kind, *state);
+        *state = next;
+        return Ok(Value::F64(out));
+    }
+    h_generic(ctx, code, op, regs, fuel, depth)
+}
+
+/// A pure `f64` intrinsic (one or two arguments).
+fn h_math(
+    ctx: &mut EngineCtx,
+    code: &[ThreadedFunction],
+    op: &ThreadedOp,
+    regs: &mut Frame,
+    fuel: &mut u64,
+    depth: usize,
+) -> Result<Value, ExecError> {
+    let DecodedInst::MathCall { kind, args } = &op.inst else {
+        unreachable!("handler selected for MathCall");
+    };
+    let mut vals = [0.0f64; 2];
+    for (v, a) in vals.iter_mut().zip(args.iter()) {
+        match f64_operand(a, regs) {
+            Some(x) => *v = x,
+            None => return h_generic(ctx, code, op, regs, fuel, depth),
+        }
+    }
+    Ok(Value::F64(exec_math(*kind, &vals[..args.len()])))
+}
+
+/// Float `reg PRED reg`.
+fn h_fcmp_rr<P: Pred>(
+    ctx: &mut EngineCtx,
+    code: &[ThreadedFunction],
+    op: &ThreadedOp,
+    regs: &mut Frame,
+    fuel: &mut u64,
+    depth: usize,
+) -> Result<Value, ExecError> {
+    let DecodedInst::Cmp {
+        lhs: Operand::Reg(a),
+        rhs: Operand::Reg(b),
+        ..
+    } = op.inst
+    else {
+        unreachable!("handler selected for reg-reg Cmp");
+    };
+    if let (Some(x), Some(y)) = (f64_reg(regs, a), f64_reg(regs, b)) {
+        return Ok(Value::Bool(float_cmp(P::PRED, x, y)));
+    }
+    h_generic(ctx, code, op, regs, fuel, depth)
+}
+
+/// `select` on a register condition.
+fn h_select_r(
+    ctx: &mut EngineCtx,
+    code: &[ThreadedFunction],
+    op: &ThreadedOp,
+    regs: &mut Frame,
+    fuel: &mut u64,
+    depth: usize,
+) -> Result<Value, ExecError> {
+    let DecodedInst::Select {
+        cond: Operand::Reg(c),
+        then_val,
+        else_val,
+    } = &op.inst
+    else {
+        unreachable!("handler selected for register Select");
+    };
+    if let Some(Value::Bool(b)) = regs[*c as usize] {
+        return read_operand(if b { then_val } else { else_val }, regs);
+    }
+    h_generic(ctx, code, op, regs, fuel, depth)
+}
+
+/// Float negation of a register.
+fn h_fneg_r(
+    ctx: &mut EngineCtx,
+    code: &[ThreadedFunction],
+    op: &ThreadedOp,
+    regs: &mut Frame,
+    fuel: &mut u64,
+    depth: usize,
+) -> Result<Value, ExecError> {
+    let DecodedInst::Un {
+        val: Operand::Reg(r),
+        ..
+    } = op.inst
+    else {
+        unreachable!("handler selected for register FNeg");
+    };
+    if let Some(x) = f64_reg(regs, r) {
+        return Ok(Value::F64(-x));
+    }
+    h_generic(ctx, code, op, regs, fuel, depth)
+}
+
+/// `load [abs + reg * stride]`: one dynamic index into a global array.
+fn h_gep_load_abs(
+    ctx: &mut EngineCtx,
+    code: &[ThreadedFunction],
+    op: &ThreadedOp,
+    regs: &mut Frame,
+    fuel: &mut u64,
+    depth: usize,
 ) -> Result<Value, ExecError> {
     let DecodedInst::GepLoad {
-        base,
+        base: Operand::Imm(Value::Ptr(base)),
         const_offset,
         dyn_steps,
     } = &op.inst
     else {
-        unreachable!("handler selected for GepLoad");
+        unreachable!("handler selected for absolute GepLoad");
     };
-    charge_fuel(fuel)?;
-    let addr = interp::gep_addr(ctx, base, *const_offset, dyn_steps, regs)?;
-    ctx.stats.loads += 1;
-    ctx.stats.fused_ops += 1;
-    ctx.load_slot(addr)
-}
-
-fn h_gep_store(
-    ctx: &mut EngineCtx,
-    _code: &[ThreadedFunction],
-    op: &ThreadedOp,
-    regs: &mut Frame,
-    fuel: &mut u64,
-    _depth: usize,
-) -> Result<Value, ExecError> {
-    let DecodedInst::GepStore {
-        base,
-        const_offset,
-        dyn_steps,
-        value,
-    } = &op.inst
-    else {
-        unreachable!("handler selected for GepStore");
+    let [(Operand::Reg(i), stride)] = **dyn_steps else {
+        unreachable!("handler selected for one register GEP step");
     };
-    charge_fuel(fuel)?;
-    let addr = interp::gep_addr(ctx, base, *const_offset, dyn_steps, regs)?;
-    ctx.stats.stores += 1;
-    ctx.stats.fused_ops += 1;
-    let v = read_operand(value, regs)?;
-    ctx.store_slot(addr, v)?;
-    Ok(Value::Unit)
-}
-
-fn h_load_bin(
-    ctx: &mut EngineCtx,
-    _code: &[ThreadedFunction],
-    op: &ThreadedOp,
-    regs: &mut Frame,
-    fuel: &mut u64,
-    _depth: usize,
-) -> Result<Value, ExecError> {
-    let DecodedInst::LoadBin {
-        op: o,
-        ptr,
-        other,
-        load_lhs,
-    } = &op.inst
-    else {
-        unreachable!("handler selected for LoadBin");
-    };
-    charge_fuel(fuel)?;
-    ctx.stats.loads += 1;
-    ctx.stats.fused_ops += 1;
-    let addr = match read_operand(ptr, regs)? {
-        Value::Ptr(p) => p,
-        other => return Err(ExecError::Type(format!("load from non-pointer {other:?}"))),
-    };
-    let loaded = ctx.load_slot(addr)?;
-    let v = read_operand(other, regs)?;
-    if *load_lhs {
-        exec_bin(*o, loaded, v)
-    } else {
-        exec_bin(*o, v, loaded)
+    if *fuel > 0 {
+        if let Some(idx) = i64_reg(regs, i).filter(|idx| *idx >= 0) {
+            let addr = base + *const_offset as usize + idx as usize * stride as usize;
+            if let Some(x) = f64_slot(ctx, addr) {
+                *fuel -= 1;
+                ctx.stats.loads += 1;
+                ctx.stats.fused_ops += 1;
+                return Ok(Value::F64(x));
+            }
+        }
     }
+    h_generic(ctx, code, op, regs, fuel, depth)
 }
 
-fn h_bin_store(
-    ctx: &mut EngineCtx,
-    _code: &[ThreadedFunction],
-    op: &ThreadedOp,
-    regs: &mut Frame,
-    fuel: &mut u64,
-    _depth: usize,
-) -> Result<Value, ExecError> {
-    let DecodedInst::BinStore { op: o, lhs, rhs, ptr } = &op.inst else {
-        unreachable!("handler selected for BinStore");
-    };
-    charge_fuel(fuel)?;
-    let v = exec_bin(*o, read_operand(lhs, regs)?, read_operand(rhs, regs)?)?;
-    ctx.stats.stores += 1;
-    ctx.stats.fused_ops += 1;
-    let addr = match read_operand(ptr, regs)? {
-        Value::Ptr(p) => p,
-        other => return Err(ExecError::Type(format!("store to non-pointer {other:?}"))),
-    };
-    ctx.store_slot(addr, v)?;
-    Ok(Value::Unit)
-}
+// ---------------------------------------------------------------------------
+// Handlers without a fast path.
+// ---------------------------------------------------------------------------
 
-/// Calls recurse within the threaded tier, so a promoted function's whole
-/// dynamic extent runs threaded.
+/// Calls recurse within the threaded tier, so a function's whole dynamic
+/// extent runs threaded.
 fn h_call(
     ctx: &mut EngineCtx,
     code: &[ThreadedFunction],
@@ -545,10 +802,11 @@ fn h_call(
     call_in(ctx, code, *callee as usize, &vals, fuel, depth + 1)
 }
 
-/// Fallback for the remaining variants: run the interpreter's arm. Only
-/// instruction kinds with no handler of their own land here, so the
-/// interpreter's `match` prologue runs once per *rare* op, not per op.
-fn exec_generic(
+/// The interpreter's arm for the op: the handler of every shape without a
+/// row of its own, and every fast path's fallback. It is never handed a
+/// `Call` (which needs the threaded `code`), so the empty decoded module is
+/// never indexed.
+fn h_generic(
     ctx: &mut EngineCtx,
     _code: &[ThreadedFunction],
     op: &ThreadedOp,
@@ -557,15 +815,4 @@ fn exec_generic(
     depth: usize,
 ) -> Result<Value, ExecError> {
     interp::exec_decoded_inst(ctx, &[], &op.inst, regs, fuel, depth)
-}
-
-fn h_generic(
-    ctx: &mut EngineCtx,
-    code: &[ThreadedFunction],
-    op: &ThreadedOp,
-    regs: &mut Frame,
-    fuel: &mut u64,
-    depth: usize,
-) -> Result<Value, ExecError> {
-    exec_generic(ctx, code, op, regs, fuel, depth)
 }

@@ -12,7 +12,7 @@
 //! the tier architecture): the retained IR-walking reference oracle, the
 //! predecoded interpreter (see [`crate::decode`]), the fused
 //! superinstruction stream (see [`crate::fuse`]), and direct-threaded
-//! dispatch over the fused stream. The per-tier entry points
+//! dispatch over the fused stream — the default. The per-tier entry points
 //! ([`Engine::call_reference`], [`Engine::call_decoded`],
 //! [`Engine::call_fused`], [`Engine::call_threaded`]) bypass the policy for
 //! A/B measurement and differential testing.
@@ -207,8 +207,8 @@ impl ExecConfig {
 
 impl Default for ExecConfig {
     /// The `DISTILL_TIER` environment override when set, otherwise the
-    /// fused interpreter — so any tier can be A/B-measured without touching
-    /// a call site.
+    /// threaded tier ([`TierPolicy::default`]) — so any tier can be
+    /// A/B-measured without touching a call site.
     fn default() -> ExecConfig {
         ExecConfig {
             policy: TierPolicy::from_env().unwrap_or_default(),
@@ -344,7 +344,7 @@ impl Clone for Engine {
 
 impl Engine {
     /// Materialize an engine for a module with the default [`ExecConfig`]
-    /// (the fused tier unless `DISTILL_TIER` requests otherwise): lay out
+    /// (the threaded tier unless `DISTILL_TIER` requests otherwise): lay out
     /// the globals and lower every function to each tier's prepared form
     /// (once; the code is shared by every [`Clone`] of the engine).
     pub fn new(module: Module) -> Engine {
@@ -708,6 +708,7 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::decode::{DecodedInst, Operand};
     use distill_ir::{FunctionBuilder, Intrinsic, Module, Ty};
     use distill_pyvm::SplitMix64;
 
@@ -1117,6 +1118,177 @@ mod tests {
         assert_eq!(threaded.stats().instructions, fused.stats().instructions);
         assert_eq!(threaded.stats().fused_ops, fused.stats().fused_ops);
         assert_eq!(threaded.memory_bits(), fused.memory_bits());
+    }
+
+    /// Run `fid(args)` on a fresh engine per tier, after `setup`, and assert
+    /// that every tier returns exactly what the reference returns and leaves
+    /// the same memory image. Returns the reference's result.
+    fn assert_every_tier_matches_reference(
+        m: &Module,
+        fid: FuncId,
+        args: &[Value],
+        setup: impl Fn(&mut Engine),
+    ) -> Result<Value, ExecError> {
+        let run = |tier: Tier| {
+            let mut e = Engine::with_config(m.clone(), ExecConfig::fixed(tier));
+            setup(&mut e);
+            (e.call(fid, args), e.memory_bits())
+        };
+        let oracle = run(Tier::Reference);
+        for tier in ALL_TIERS {
+            assert_eq!(run(tier), oracle, "{tier}");
+        }
+        oracle.0
+    }
+
+    /// Whether `fid`'s fused stream holds an instruction of the given shape:
+    /// pins that a case reaches the threaded fast path it is aimed at.
+    fn fuses_to(m: &Module, fid: FuncId, shape: impl Fn(&DecodedInst) -> bool) -> bool {
+        let e = Engine::with_config(m.clone(), ExecConfig::fixed(Tier::Threaded));
+        let code = &e.fused.code[fid.index()];
+        code.blocks
+            .iter()
+            .flat_map(|b| b.code.iter())
+            .any(|op| shape(&op.inst))
+    }
+
+    /// One function over the module's globals, built by `body`.
+    fn single_function(
+        m: &mut Module,
+        params: Vec<Ty>,
+        ret: Ty,
+        body: impl FnOnce(&mut FunctionBuilder),
+    ) -> FuncId {
+        let tys: Vec<Ty> = m.globals.iter().map(|g| g.ty.clone()).collect();
+        let fid = m.declare_function("f", params, ret);
+        let mut b = FunctionBuilder::new(m.function_mut(fid)).with_global_types(tys);
+        let e = b.create_block("entry");
+        b.switch_to_block(e);
+        body(&mut b);
+        fid
+    }
+
+    #[test]
+    fn fast_path_tag_misses_fall_back_to_the_interpreter_exactly() {
+        use DecodedInst as D;
+        let abs = |o: &Operand| matches!(o, Operand::Imm(Value::Ptr(_)));
+
+        // A float `LoadBin` whose slot was retagged to an I64 at run time:
+        // the interpreter's arm coerces it.
+        let mut m = Module::new("m");
+        let g = m.add_zeroed_global("g", Ty::array(Ty::F64, 1), true);
+        let fid = single_function(&mut m, vec![Ty::F64], Ty::F64, |b| {
+            let base = b.global_addr(g);
+            let p = b.const_elem_addr(base, 0);
+            let v = b.load(p);
+            let x = b.param(0);
+            let r = b.fadd(v, x);
+            b.ret(Some(r));
+        });
+        assert!(fuses_to(&m, fid, |i| matches!(
+            i,
+            D::LoadBin { ptr, other: Operand::Reg(_), .. } if abs(ptr)
+        )));
+        let r = assert_every_tier_matches_reference(&m, fid, &[Value::F64(0.5)], |e| {
+            e.write_global_i64("g", 0, 7).unwrap()
+        });
+        assert_eq!(r, Ok(Value::F64(7.5)));
+
+        // A `Select` whose condition register holds an I64.
+        let mut m = Module::new("m");
+        let fid = single_function(&mut m, vec![Ty::Bool, Ty::F64, Ty::F64], Ty::F64, |b| {
+            let (c, x, y) = (b.param(0), b.param(1), b.param(2));
+            let r = b.select(c, x, y);
+            b.ret(Some(r));
+        });
+        assert!(fuses_to(&m, fid, |i| matches!(
+            i,
+            D::Select {
+                cond: Operand::Reg(_),
+                ..
+            }
+        )));
+        let args = [Value::I64(1), Value::F64(1.0), Value::F64(2.0)];
+        let r = assert_every_tier_matches_reference(&m, fid, &args, |_| {});
+        assert_eq!(r, Err(ExecError::Type("select condition".into())));
+
+        // A `RandCall` whose state slot is uninitialized.
+        let mut m = Module::new("m");
+        let g = m.add_global("rng", Ty::array(Ty::I64, 1), vec![Constant::Undef], true);
+        let fid = single_function(&mut m, vec![], Ty::F64, |b| {
+            let base = b.global_addr(g);
+            let p = b.const_elem_addr(base, 0);
+            let r = b.intrinsic(Intrinsic::RandNormal, vec![p]);
+            b.ret(Some(r));
+        });
+        assert!(fuses_to(
+            &m,
+            fid,
+            |i| matches!(i, D::RandCall { state, .. } if abs(state))
+        ));
+        let r = assert_every_tier_matches_reference(&m, fid, &[], |_| {});
+        assert_eq!(r, Err(ExecError::Undef("slot 0".into())));
+
+        // A `StoreAbs` of an undefined register (a parameter never passed).
+        let mut m = Module::new("m");
+        let g = m.add_zeroed_global("g", Ty::array(Ty::F64, 1), true);
+        let fid = single_function(&mut m, vec![Ty::F64], Ty::Void, |b| {
+            let base = b.global_addr(g);
+            let p = b.const_elem_addr(base, 0);
+            let x = b.param(0);
+            b.store(p, x);
+            b.ret(None);
+        });
+        assert!(fuses_to(&m, fid, |i| matches!(
+            i,
+            D::StoreAbs {
+                value: Operand::Reg(_),
+                ..
+            }
+        )));
+        let r = assert_every_tier_matches_reference(&m, fid, &[], |_| {});
+        assert_eq!(
+            r,
+            Err(ExecError::Undef("value %0 used before definition".into()))
+        );
+
+        // A float `BinStore` past the end of memory.
+        let mut m = Module::new("m");
+        let g = m.add_zeroed_global("g", Ty::array(Ty::F64, 2), true);
+        let fid = single_function(&mut m, vec![Ty::F64, Ty::F64], Ty::Void, |b| {
+            let base = b.global_addr(g);
+            let p = b.const_elem_addr(base, 5);
+            let (x, y) = (b.param(0), b.param(1));
+            let r = b.fadd(x, y);
+            b.store(p, r);
+            b.ret(None);
+        });
+        assert!(fuses_to(
+            &m,
+            fid,
+            |i| matches!(i, D::BinStore { ptr, .. } if abs(ptr))
+        ));
+        let r = assert_every_tier_matches_reference(
+            &m,
+            fid,
+            &[Value::F64(1.0), Value::F64(2.0)],
+            |_| {},
+        );
+        assert_eq!(r, Err(ExecError::OutOfBounds { addr: 5, size: 2 }));
+
+        // A `GepLoad` into a global array with a negative index.
+        let mut m = Module::new("m");
+        let g = m.add_zeroed_global("g", Ty::array(Ty::F64, 4), true);
+        let fid = single_function(&mut m, vec![Ty::I64], Ty::F64, |b| {
+            let base = b.global_addr(g);
+            let i = b.param(0);
+            let p = b.elem_addr(base, i);
+            let v = b.load(p);
+            b.ret(Some(v));
+        });
+        assert!(fuses_to(&m, fid, |i| matches!(i, D::GepLoad { base, .. } if abs(base))));
+        let r = assert_every_tier_matches_reference(&m, fid, &[Value::I64(-1)], |_| {});
+        assert_eq!(r, Err(ExecError::OutOfBounds { addr: 0, size: 4 }));
     }
 
     #[test]

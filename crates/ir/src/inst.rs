@@ -476,6 +476,11 @@ impl Inst {
 
     /// Rewrite every operand through `f` (used by inlining and by passes that
     /// replace values).
+    // Inlined into `Function::replace_all_uses`, which calls it once per
+    // arena value and is the hottest loop of a cold build. Out of line, its
+    // speed swung by a third with code placement alone (benchmark
+    // `cold_build`, 49 vs 78 trials/s for two layouts of identical code).
+    #[inline]
     pub fn map_operands(&mut self, mut f: impl FnMut(ValueId) -> ValueId) {
         match self {
             Inst::Bin { lhs, rhs, .. } | Inst::Cmp { lhs, rhs, .. } => {

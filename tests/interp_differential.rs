@@ -41,12 +41,12 @@ const ALL_TIERS: [Tier; 4] = [Tier::Reference, Tier::Decoded, Tier::Fused, Tier:
 
 /// One engine per tier over the artifact's module — pinned `Fixed` policies,
 /// so an inherited `DISTILL_TIER` cannot degrade the differential.
-fn tier_engines(artifact: &CompiledModel) -> Vec<(String, Engine)> {
+fn tier_engines(artifact: &CompiledModel) -> Vec<(Tier, Engine)> {
     ALL_TIERS
         .iter()
         .map(|t| {
             (
-                t.to_string(),
+                *t,
                 Engine::with_config(artifact.module.clone(), ExecConfig::fixed(*t)),
             )
         })
@@ -55,7 +55,8 @@ fn tier_engines(artifact: &CompiledModel) -> Vec<(String, Engine)> {
 
 /// Run `trials` whole-model trials on every tier and assert bit-identical
 /// behaviour against the reference oracle: same results, same trial
-/// outputs, same final memory.
+/// outputs, same final memory — and the same counters on the threaded
+/// (default) tier as on the fused one.
 fn differential_whole_model(w: &Workload, config: CompileConfig, trials: usize) {
     let artifact = compile(&w.model, config).expect("compilation succeeds");
     let trial_fn = artifact
@@ -103,6 +104,17 @@ fn differential_whole_model(w: &Workload, config: CompileConfig, trials: usize) 
             w.model.name
         );
     }
+    // The threaded tier runs the fused stream, so every counter (dispatches,
+    // calls, loads, stores, superinstructions, frames) must match the fused
+    // tier's exactly: the benchmark's `exec.dispatches_per_trial` is read
+    // from the default tier and must keep its meaning.
+    let stats = |tier: Tier| engines.iter().find(|(t, _)| *t == tier).unwrap().1.stats();
+    assert_eq!(
+        stats(Tier::Threaded),
+        stats(Tier::Fused),
+        "{}: threaded counters diverged from fused",
+        w.model.name
+    );
 }
 
 /// Run the controller's grid-evaluation kernel on every tier.
@@ -186,9 +198,10 @@ fn differential_per_node(w: &Workload, config: CompileConfig) {
 #[test]
 fn every_registered_family_is_bit_identical_across_engines() {
     // Data-driven over the registry: whoever registers a family gets this
-    // three-way differential (fused / decoded / reference) for free —
-    // including the stress families (`predator_prey_skewed`, `gpu_stress`)
-    // that predate nothing but this suite's hard-coded fig2–fig7 list.
+    // four-tier differential (threaded / fused / decoded / reference) for
+    // free — including the stress families (`predator_prey_skewed`,
+    // `gpu_stress`) that predate nothing but this suite's hard-coded
+    // fig2–fig7 list.
     for spec in registry::registry() {
         let w = spec.build(Scale::Reduced);
         differential_whole_model(&w, CompileConfig::default(), 3);

@@ -259,6 +259,9 @@ fn session_tier_overrides_the_artifacts_tier_in_build_with() {
     assert_eq!(policy(&*reference), TierPolicy::Fixed(Tier::Reference));
     assert_eq!(policy(&*threaded), TierPolicy::Fixed(Tier::Threaded));
     assert_eq!(policy(&*build(None)), artifact.config.tier);
+    // A default-config artifact built with no explicit tier runs the
+    // production tier.
+    assert_eq!(policy(&*build(None)), TierPolicy::Fixed(Tier::Threaded));
 
     let a = reference.run(&spec).unwrap();
     let b = threaded.run(&spec).unwrap();
