@@ -72,9 +72,16 @@ echo "== benchmark package (builds against the product crates; replay bit-identi
 (cd benchmark && DISTILL_SWEEP_WORKER="$PWD/../target/release/distill-sweep-worker" \
   cargo test --release --offline)
 
-echo "== flake check (shard_panic x10: the process-global trial-panic hook must not race)"
+echo "== chaos-hook race guard (process-global chaos hooks armed only by shard_panic; x10 each, tier-1 serially)"
+# The chaos hooks are process-global atomics: a test that arms them races
+# every other test of its binary that runs a trial chunk or reads an
+# artifact. Only tests/shard_panic.rs arms them, sequentially; distill's
+# unit tests run chunks and artifact reads on 16 threads and must never be
+# hit, and tier-1 must also pass on one test thread.
 for _ in $(seq 1 10); do
   cargo test -q -p distill-repro --test shard_panic
+  cargo test -q -p distill --lib -- --test-threads 16
 done
+cargo test -q -- --test-threads 1
 
 echo "CI OK"

@@ -64,11 +64,6 @@ pub struct CompileConfig {
     /// Model seed; must match the baseline runner's seed for bit-identical
     /// stochastic results.
     pub seed: u64,
-    /// Capacity (in trials) of the batched entry point's staging buffers.
-    /// Whole-model compilation emits a `trials_batch(start, count)` function
-    /// that executes up to this many trials per engine entry; drivers chunk
-    /// larger batch requests. `0` disables the batched entry point.
-    pub batch_capacity: usize,
     /// Which execution tier the engine runs the compiled module on — see
     /// [`distill_exec::TierPolicy`]. Defaults to the direct-threaded
     /// production tier; `Fixed(Tier::Fused)` and `Fixed(Tier::Decoded)` are
@@ -85,11 +80,15 @@ impl Default for CompileConfig {
             mode: CompileMode::WholeModel,
             opt_level: OptLevel::O2,
             seed: 0xD15_711,
-            batch_capacity: 64,
             tier: distill_exec::TierPolicy::default(),
         }
     }
 }
+
+/// Trials the whole-model `trials_batch` entry point stages per engine
+/// entry; drivers run longer spans as successive windows of at most this
+/// many trials.
+const BATCH_CAPACITY: usize = 64;
 
 /// Codegen failures.
 #[derive(Debug, Clone, PartialEq)]
@@ -202,107 +201,32 @@ impl Layout {
     /// absolute trial index `start`: trial `start + k`'s flattened input
     /// (cycled through `flats`) lands at stride `ext_len * k`, matching what
     /// the generated `trials_batch(start, count)` entry point copies into
-    /// `ext_input` per iteration. One definition serves every driver that
-    /// stages a batch — the serial batched path and each worker of the
-    /// sharded multicore path stage chunks identically, which is what keeps
-    /// their outputs bit-identical.
+    /// `ext_input` per iteration.
     pub fn stage_batch(&self, flats: &[Vec<f64>], start: usize, count: usize) -> Vec<f64> {
-        let stride = self.ext_len;
-        let mut staging = vec![0.0; count * stride];
-        if stride == 0 || flats.is_empty() {
-            return staging;
-        }
-        for k in 0..count {
-            let flat = &flats[(start + k) % flats.len()];
-            staging[k * stride..(k + 1) * stride].copy_from_slice(&flat[..stride]);
-        }
+        let mut staging = Vec::new();
+        self.stage_batch_into(flats, start, count, &mut staging);
         staging
     }
 
-    /// A reusable [`StagingBuffer`] sized for `capacity` trials of this
-    /// layout's external-input stride.
-    pub fn staging_buffer(&self, capacity: usize) -> StagingBuffer {
+    /// [`Layout::stage_batch`] into a caller-owned buffer, so a driver that
+    /// stages many windows reuses one allocation. The one fill loop every
+    /// stager shares: with no `flats`, the image is zeros.
+    pub fn stage_batch_into(
+        &self,
+        flats: &[Vec<f64>],
+        start: usize,
+        count: usize,
+        staging: &mut Vec<f64>,
+    ) {
         let stride = self.ext_len;
-        StagingBuffer {
-            stride,
-            capacity,
-            bufs: [vec![0.0; capacity * stride], vec![0.0; capacity * stride]],
-            staged: [0, 0],
-            front: 0,
-        }
-    }
-}
-
-/// A double-buffered, allocation-free handle for `batch_ext` staging images.
-///
-/// [`Layout::stage_batch`] allocates a fresh image per chunk; a long-lived
-/// driver that stages thousands of chunks (the serving scheduler) instead
-/// keeps one `StagingBuffer` per worker and rotates two fixed buffers:
-/// [`StagingBuffer::stage`] writes the *next* chunk's image into the back
-/// buffer while the previously [published](StagingBuffer::publish) front
-/// image is still live (being copied into an engine's `batch_ext` global or
-/// read by in-flight bookkeeping), and `publish` then flips the pair. The
-/// staged bytes are identical to `stage_batch`'s — same cycling of `flats`
-/// by absolute trial index — so drivers switching to the reusable handle
-/// keep bit-identical results.
-#[derive(Debug, Clone)]
-pub struct StagingBuffer {
-    stride: usize,
-    capacity: usize,
-    bufs: [Vec<f64>; 2],
-    staged: [usize; 2],
-    front: usize,
-}
-
-impl StagingBuffer {
-    /// Trials the buffers can hold per staging.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Slots per trial (the layout's `ext_len`).
-    pub fn stride(&self) -> usize {
-        self.stride
-    }
-
-    /// Stage `count` trials starting at absolute trial index `start` into
-    /// the back buffer, leaving the front image untouched.
-    ///
-    /// # Panics
-    /// Panics when `count` exceeds the capacity.
-    pub fn stage(&mut self, flats: &[Vec<f64>], start: usize, count: usize) {
-        assert!(
-            count <= self.capacity,
-            "staging {count} trials into a buffer of capacity {}",
-            self.capacity
-        );
-        let back = 1 - self.front;
-        let stride = self.stride;
-        self.staged[back] = count * stride;
-        if stride == 0 {
-            return;
-        }
-        let buf = &mut self.bufs[back];
+        staging.clear();
         if flats.is_empty() {
-            buf[..count * stride].fill(0.0);
+            staging.resize(count * stride, 0.0);
             return;
         }
         for k in 0..count {
-            let flat = &flats[(start + k) % flats.len()];
-            buf[k * stride..(k + 1) * stride].copy_from_slice(&flat[..stride]);
+            staging.extend_from_slice(&flats[(start + k) % flats.len()][..stride]);
         }
-    }
-
-    /// Flip the pair: the staged back buffer becomes the front image and is
-    /// returned.
-    pub fn publish(&mut self) -> &[f64] {
-        self.front = 1 - self.front;
-        self.front_image()
-    }
-
-    /// The most recently published image.
-    pub fn front_image(&self) -> &[f64] {
-        &self.bufs[self.front][..self.staged[self.front]]
     }
 }
 
@@ -321,13 +245,14 @@ pub struct CompiledModel {
     /// index as its single `i64` parameter.
     pub trial_func: Option<FuncId>,
     /// The batched entry point `trials_batch(start, count)` (whole-model mode
-    /// with a non-zero [`CompileConfig::batch_capacity`]): runs `count`
+    /// only): runs `count`
     /// consecutive trials starting at trial index `start` without leaving
     /// compiled code, reading per-trial inputs from the `batch_ext` staging
     /// global and writing per-trial outputs/pass counts to `batch_out` /
     /// `batch_passes`.
     pub batch_func: Option<FuncId>,
-    /// Trials the batched staging buffers can hold per engine entry.
+    /// Trials the batched staging buffers can hold per engine entry (64
+    /// with a batched entry point, `0` without).
     pub batch_capacity: usize,
     /// The grid-evaluation kernel `grid_eval(index) -> cost`, present when
     /// the model has a controller.
@@ -432,14 +357,14 @@ pub fn compile(model: &Composition, config: CompileConfig) -> Result<CompiledMod
     let layout = Layout::build(model);
     let mut module = Module::new(format!("distill_{}", model.name));
     // Batch staging buffers only exist where a batched entry point will: in
-    // whole-model mode with a non-zero capacity (per-node artifacts get
-    // 1-slot placeholders so the engine carries no dead buffer memory).
-    let effective_batch_capacity = if config.mode == CompileMode::WholeModel {
-        config.batch_capacity
+    // whole-model mode (per-node artifacts get 1-slot placeholders so the
+    // engine carries no dead buffer memory).
+    let batch_capacity = if config.mode == CompileMode::WholeModel {
+        BATCH_CAPACITY
     } else {
         0
     };
-    let globals = declare_globals(&mut module, model, &layout, effective_batch_capacity);
+    let globals = declare_globals(&mut module, model, &layout, batch_capacity);
 
     // --- node functions (both variants) ------------------------------------
     let mut node_funcs = Vec::with_capacity(model.mechanisms.len());
@@ -475,15 +400,9 @@ pub fn compile(model: &Composition, config: CompileConfig) -> Result<CompiledMod
     };
 
     // --- batched entry point -----------------------------------------------
-    let batch_func = match trial_func {
-        Some(trial_fid) if config.batch_capacity > 0 => Some(gen_batch_fn(
-            &mut module,
-            &layout,
-            &globals,
-            trial_fid,
-        )?),
-        _ => None,
-    };
+    let batch_func = trial_func
+        .map(|trial_fid| gen_batch_fn(&mut module, &layout, &globals, trial_fid))
+        .transpose()?;
 
     distill_ir::verify::verify_module(&module)
         .map_err(|e| CodegenError(format!("generated IR failed verification: {e}")))?;
@@ -499,11 +418,7 @@ pub fn compile(model: &Composition, config: CompileConfig) -> Result<CompiledMod
         node_funcs,
         trial_func,
         batch_func,
-        batch_capacity: if batch_func.is_some() {
-            config.batch_capacity
-        } else {
-            0
-        },
+        batch_capacity,
         eval_func,
         grid_size,
         opt_stats,
@@ -1530,17 +1445,6 @@ mod tests {
         assert!(compiled.batch_func.is_some());
         assert_eq!(compiled.batch_capacity, 64);
         assert!(compiled.module.function_by_name("trials_batch").is_some());
-        // Capacity 0 disables the batched entry point.
-        let no_batch = compile(
-            &model,
-            CompileConfig {
-                batch_capacity: 0,
-                ..CompileConfig::default()
-            },
-        )
-        .unwrap();
-        assert!(no_batch.batch_func.is_none());
-        assert_eq!(no_batch.batch_capacity, 0);
         // Per-node mode has no trial function and therefore nothing to batch.
         let per_node = compile(
             &model,
@@ -1551,6 +1455,7 @@ mod tests {
         )
         .unwrap();
         assert!(per_node.batch_func.is_none());
+        assert_eq!(per_node.batch_capacity, 0);
     }
 
     #[test]
@@ -1584,81 +1489,39 @@ mod tests {
 
     #[test]
     fn whole_model_optimization_reduces_code_size() {
-        // Compare without the batched entry point: inlining the trial body
-        // into `trials_batch` intentionally duplicates code.
+        // Compare trial functions, not modules: inlining the trial body into
+        // `trials_batch` intentionally duplicates code.
         let model = chain_model();
         let o0 = compile(
             &model,
             CompileConfig {
                 opt_level: OptLevel::O0,
-                batch_capacity: 0,
                 ..CompileConfig::default()
             },
         )
         .unwrap();
-        let o2 = compile(
-            &model,
-            CompileConfig {
-                batch_capacity: 0,
-                ..CompileConfig::default()
-            },
-        )
-        .unwrap();
-        let size = |c: &CompiledModel| {
-            c.module
-                .function(c.trial_func.unwrap())
-                .inst_count()
-        };
+        let o2 = compile(&model, CompileConfig::default()).unwrap();
+        let size = |c: &CompiledModel, f: FuncId| c.module.function(f).inst_count();
         // After O2 the node calls are inlined into the trial function and the
         // parameter loads fold, so the trial body shrinks relative to the sum
         // of its O0 parts.
-        let o0_total: usize = o0.module.inst_count();
-        let o2_total: usize = o2.module.inst_count();
-        assert!(o2_total <= o0_total);
-        assert!(size(&o2) > 0);
+        let o0_parts = size(&o0, o0.trial_func.unwrap())
+            + o0.node_funcs.iter().map(|&f| size(&o0, f)).sum::<usize>();
+        let o2_trial = size(&o2, o2.trial_func.unwrap());
+        assert!(o2_trial > 0);
+        assert!(o2_trial <= o0_parts, "O2 trial {o2_trial} vs O0 parts {o0_parts}");
     }
 
     #[test]
-    fn staging_buffer_matches_stage_batch() {
-        let mut layout = Layout::default();
-        layout.ext_offsets.insert(0, 0);
-        layout.ext_len = 3;
-        let flats = vec![vec![1.0, 2.0, 3.0], vec![4.0, 5.0, 6.0]];
-        let mut buf = layout.staging_buffer(4);
-        assert_eq!(buf.capacity(), 4);
-        assert_eq!(buf.stride(), 3);
-        for (start, count) in [(0, 4), (3, 2), (7, 1), (2, 0)] {
-            buf.stage(&flats, start, count);
-            assert_eq!(buf.publish(), &layout.stage_batch(&flats, start, count)[..]);
-        }
-    }
-
-    #[test]
-    fn staging_buffer_keeps_front_while_staging_back() {
-        let mut layout = Layout::default();
-        layout.ext_offsets.insert(0, 0);
-        layout.ext_len = 1;
-        let flats = vec![vec![1.0], vec![2.0], vec![3.0]];
-        let mut buf = layout.staging_buffer(2);
-        buf.stage(&flats, 0, 2);
-        let front: Vec<f64> = buf.publish().to_vec();
-        assert_eq!(front, vec![1.0, 2.0]);
-        // Staging the next chunk must not disturb the published image.
-        buf.stage(&flats, 2, 2);
-        assert_eq!(buf.front_image(), &front[..]);
-        assert_eq!(buf.publish(), &[3.0, 1.0]);
-    }
-
-    #[test]
-    fn staging_buffer_zero_stride_and_empty_flats() {
-        let layout = Layout::default();
-        let mut buf = layout.staging_buffer(8);
-        buf.stage(&[], 0, 8);
-        assert!(buf.publish().is_empty());
+    fn stage_batch_cycles_inputs_and_zero_fills_without_them() {
         let mut layout = Layout::default();
         layout.ext_len = 2;
-        let mut buf = layout.staging_buffer(2);
-        buf.stage(&[], 0, 2);
-        assert_eq!(buf.publish(), &[0.0; 4]);
+        let flats = vec![vec![1.0, 2.0], vec![3.0, 4.0], vec![5.0, 6.0]];
+        assert_eq!(layout.stage_batch(&flats, 2, 2), [5.0, 6.0, 1.0, 2.0]);
+        // A reused buffer holds exactly the latest window.
+        let mut buf = vec![9.0; 10];
+        layout.stage_batch_into(&flats, 1, 1, &mut buf);
+        assert_eq!(buf, [3.0, 4.0]);
+        assert_eq!(layout.stage_batch(&[], 0, 2), [0.0; 4]);
     }
 }

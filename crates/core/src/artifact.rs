@@ -31,7 +31,7 @@ use std::fmt;
 use std::path::Path;
 
 /// Format version of the artifact encoding; bump on any shape change.
-pub const ARTIFACT_VERSION: u32 = 1;
+pub const ARTIFACT_VERSION: u32 = 2;
 
 /// Magic bytes identifying an artifact file.
 pub const ARTIFACT_MAGIC: [u8; 8] = *b"DSTLART\0";
@@ -81,11 +81,10 @@ impl From<std::io::Error> for ArtifactError {
 /// rides with. Two sessions with equal keys can share one artifact.
 pub fn artifact_key(family: &str, config: &CompileConfig) -> String {
     format!(
-        "{family}-{mode:?}-{opt:?}-s{seed:x}-b{batch}-{tier}",
+        "{family}-{mode:?}-{opt:?}-s{seed:x}-{tier}",
         mode = config.mode,
         opt = config.opt_level,
         seed = config.seed,
-        batch = config.batch_capacity,
         tier = config.tier,
     )
 }
@@ -312,7 +311,6 @@ fn enc_config(w: &mut Writer, c: &CompileConfig) {
         OptLevel::O3 => 3,
     });
     w.u64(c.seed);
-    w.len(c.batch_capacity);
     // Policy tag 0 = fixed tier. Tag 1 was the retired adaptive policy;
     // it stays unassigned so old artifacts decode to `Corrupt`.
     let TierPolicy::Fixed(t) = c.tier;
@@ -339,7 +337,6 @@ fn dec_config(r: &mut Reader) -> Result<CompileConfig, ArtifactError> {
         t => return Err(ArtifactError::Corrupt(format!("bad opt tag {t}"))),
     };
     let seed = r.u64()?;
-    let batch_capacity = r.len()?;
     let tier = match r.u8()? {
         0 => TierPolicy::Fixed(match r.u8()? {
             0 => Tier::Reference,
@@ -354,7 +351,6 @@ fn dec_config(r: &mut Reader) -> Result<CompileConfig, ArtifactError> {
         mode,
         opt_level,
         seed,
-        batch_capacity,
         tier,
     })
 }

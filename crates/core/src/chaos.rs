@@ -12,11 +12,20 @@
 //!
 //! * **Process-global hooks** ([`ChaosPlan::install`]): the trial-panic,
 //!   build-panic, artifact-corruption and delay faults arm process-global
-//!   atomics that the hot paths poll ([`check_panic_trial`],
-//!   [`check_panic_build`], [`corrupt_artifact_read`], [`chunk_delay`]).
+//!   atomics that the hot paths poll:
+//!   - [`chunk_delay`] and [`check_panic_trial`]: the schedulers that hand
+//!     trial windows to a [`crate::ChunkExecutor`] — core's serial and
+//!     sharded chunk loop, and the serving daemon's span worker — once per
+//!     window, before running it. The executor itself and the serving
+//!     solo path poll nothing.
+//!   - [`check_panic_build`]: the serving artifact cache's compile path.
+//!   - [`corrupt_artifact_read`]: [`crate::read_artifact`].
+//!
 //!   Each armed fault fires **once** and disarms itself, so a recovery
 //!   path re-running the same trial range is not re-injected — exactly the
-//!   semantics a requeue-and-reserve scheduler needs.
+//!   semantics a requeue-and-reserve scheduler needs. Because the state is
+//!   process-wide, tests that arm it live in their own integration-test
+//!   binaries and run their scenarios sequentially.
 //! * **Plan-as-value**: the distributed-sweep fields (`kill`, `drop`,
 //!   `garble`, `heartbeat_delay_ms`) are read directly off the plan by the
 //!   dsweep coordinator, which slices them per worker and ships them over
@@ -217,7 +226,7 @@ pub fn panic_on_trial(trial: Option<usize>) {
     PANIC_TRIAL.store(trial.unwrap_or(NO_TRIAL), Ordering::SeqCst);
 }
 
-/// Called by every trial-chunk executor with its `[lo, lo + n)` window;
+/// Called by every trial-window scheduler with its `[lo, lo + n)` window;
 /// panics — once, then self-disarms — when the armed trial falls inside
 /// it. The self-disarm is what makes recovery paths (a serve requeue, a
 /// dsweep lease re-issue, a client retry) run clean instead of re-tripping
@@ -263,7 +272,7 @@ pub fn corrupt_artifact_read(bytes: &mut [u8]) -> bool {
     false
 }
 
-/// Called by trial-chunk executors before running a chunk; sleeps the
+/// Called by trial-window schedulers before running a window; sleeps the
 /// armed delay (a scheduler-pressure fault: it widens the window in which
 /// queues build up, without changing any output byte).
 pub fn chunk_delay() {
@@ -313,57 +322,5 @@ mod tests {
             assert!(victim < 4);
             assert_eq!(lease, 0);
         }
-    }
-
-    #[test]
-    fn trial_panic_fires_once_then_self_disarms() {
-        panic_on_trial(Some(7));
-        check_panic_trial(0, 7); // window [0, 7) does not cover 7
-        check_panic_trial(8, 100);
-        let hit = std::panic::catch_unwind(|| check_panic_trial(0, 8));
-        assert!(hit.is_err(), "armed trial inside the window must panic");
-        // Fired → disarmed: the recovery rerun of the same window is clean.
-        check_panic_trial(0, 8);
-        panic_on_trial(None);
-    }
-
-    #[test]
-    fn corruption_countdown_hits_the_armed_read_only() {
-        ChaosPlan {
-            corrupt_read: Some(1),
-            seed: 5,
-            ..Default::default()
-        }
-        .install();
-        let clean = vec![1u8, 2, 3, 4, 5, 6, 7, 8];
-        let mut first = clean.clone();
-        assert!(!corrupt_artifact_read(&mut first), "read 0 is not armed");
-        assert_eq!(first, clean);
-        let mut second = clean.clone();
-        assert!(corrupt_artifact_read(&mut second), "read 1 is armed");
-        assert_ne!(second, clean);
-        assert_eq!(
-            second.iter().zip(&clean).filter(|(a, b)| a != b).count(),
-            1,
-            "exactly one byte flips"
-        );
-        let mut third = clean.clone();
-        assert!(!corrupt_artifact_read(&mut third), "fired once, then inert");
-        assert_eq!(third, clean);
-        disarm();
-    }
-
-    #[test]
-    fn build_panic_countdown_fires_on_the_armed_ordinal() {
-        ChaosPlan {
-            panic_build: Some(1),
-            ..Default::default()
-        }
-        .install();
-        check_panic_build("warmup"); // build 0: clean
-        let hit = std::panic::catch_unwind(|| check_panic_build("victim"));
-        assert!(hit.is_err(), "build 1 is armed");
-        check_panic_build("recovery"); // fired once, then inert
-        disarm();
     }
 }

@@ -33,8 +33,9 @@
 //! let reference = baseline.run(&RunSpec::new(workload.inputs.clone(), 2))?;
 //! assert_eq!(reference.outputs, result.outputs);
 //!
-//! // Batched: many trials per engine entry via the compiled
-//! // `trials_batch` entry point — same results, fewer boundary crossings.
+//! // Every compiled run goes through the `trials_batch` entry point; the
+//! // batch size only sets how many trials one engine entry covers (one by
+//! // default), so the results are the same.
 //! let mut batched = Session::new(&workload.model).build()?;
 //! let spec = RunSpec::new(workload.inputs.clone(), 2).with_batch(32);
 //! assert_eq!(batched.run(&spec)?.outputs, result.outputs);
@@ -67,7 +68,7 @@ pub use artifact::{
     ArtifactError, ARTIFACT_VERSION,
 };
 pub use chaos::ChaosPlan;
-pub use runner::{RunResult, RunSpec, Runner, ShardStats};
+pub use runner::{ChunkExecutor, RunResult, RunSpec, Runner, ShardStats};
 pub use session::{Session, Target};
 
 /// One trial's external input: one vector per input node, in
@@ -241,7 +242,7 @@ mod tests {
     }
 
     #[test]
-    fn batched_execution_matches_per_trial() {
+    fn batched_execution_matches_windows_of_one() {
         let (model, inputs) = chain_model();
         let per_trial = Session::new(&model)
             .build()

@@ -15,9 +15,11 @@ use distill_cogmodel::{BaselineRunner, Composition};
 use distill_codegen::global_names as gn;
 use distill_codegen::CompiledModel;
 use distill_exec::{
-    gpu, mcpu, ChunkQueue, Engine, GpuConfig, GpuRunReport, GrabCount, ParallelResult, Value,
+    gpu, mcpu, ChunkQueue, Engine, ExecConfig, GpuConfig, GpuRunReport, GrabCount,
+    ParallelResult, TierPolicy, Value,
 };
 use distill_pyvm::SplitMix64;
+use std::sync::Arc;
 
 /// What to execute: the trial inputs (cycled), how many trials, and how many
 /// trials a compiled backend may run per engine entry.
@@ -27,10 +29,13 @@ pub struct RunSpec {
     pub inputs: Vec<TrialInput>,
     /// Number of trials to execute.
     pub trials: usize,
-    /// Trials per engine entry on compiled backends (`1` = re-enter the
-    /// engine per trial). Backends without a batched path — the baseline
-    /// interpreter, per-node drivers — execute trial-by-trial regardless;
-    /// results are identical either way.
+    /// Trials per engine entry on whole-model compiled backends: every
+    /// trial runs through the compiled `trials_batch` entry point in windows
+    /// of `batch` trials (`0` and `1` both mean one trial per window; larger
+    /// values are capped at the artifact's staging capacity). Backends
+    /// without a compiled trial — the baseline interpreter, per-node
+    /// drivers — execute trial-by-trial regardless; results are identical
+    /// either way.
     pub batch: usize,
     /// Worker threads sharding the trial space on whole-model compiled
     /// backends (`1` = serial). Workers pull `batch`-sized chunks of trials
@@ -52,7 +57,7 @@ pub struct RunSpec {
 }
 
 impl RunSpec {
-    /// A spec running `trials` trials with per-trial engine entry.
+    /// A spec running `trials` trials, one trial per engine entry.
     pub fn new(inputs: Vec<TrialInput>, trials: usize) -> RunSpec {
         RunSpec {
             inputs,
@@ -91,8 +96,8 @@ impl RunSpec {
 pub struct ShardStats {
     /// Worker threads that drained the trial queue.
     pub threads: usize,
-    /// Chunks the trial space was split into (one `trials_batch` call — or
-    /// one per-trial loop — per chunk).
+    /// Chunks the trial space was split into (one `trials_batch` call per
+    /// chunk).
     pub chunks: usize,
     /// Trials per chunk (the effective batch size).
     pub batch: usize,
@@ -283,50 +288,38 @@ pub(crate) enum GridStrategy {
     Gpu(GpuConfig),
 }
 
-/// Shared driver of every compiled backend: owns the artifact, the source
-/// model and the engine, and implements per-trial, batched and per-node
-/// execution over them.
+/// Shared driver of every compiled backend: owns the source model and a
+/// [`ChunkExecutor`] over the artifact, and implements windowed and
+/// per-node execution over them.
 pub(crate) struct CompiledDriver {
-    pub(crate) compiled: CompiledModel,
     pub(crate) model: Composition,
-    pub(crate) engine: Engine,
+    pub(crate) exec: ChunkExecutor,
 }
 
 impl CompiledDriver {
     pub(crate) fn new(compiled: CompiledModel, model: Composition) -> CompiledDriver {
-        // The session's tier policy decides which execution form the engine
-        // runs; a `DISTILL_TIER` environment request wins over it, so a
-        // whole-process A/B can be forced without touching call sites.
-        let policy = distill_exec::TierPolicy::from_env().unwrap_or(compiled.config.tier);
-        let engine = Engine::with_config(
-            compiled.module.clone(),
-            distill_exec::ExecConfig { policy },
-        );
         CompiledDriver {
-            compiled,
             model,
-            engine,
+            exec: ChunkExecutor::new(Arc::new(compiled)),
         }
     }
 
     /// Flatten every distinct trial input into the `ext_input` layout once,
-    /// so per-trial (and per-batch) writes are a single memcpy-style global
-    /// write instead of a re-flattening.
+    /// so each window's staging is a copy instead of a re-flattening.
     fn flatten_inputs(&self, inputs: &[TrialInput]) -> Vec<Vec<f64>> {
         inputs
             .iter()
             .map(|input| {
-                self.compiled
-                    .layout
-                    .flatten_input(&self.model.input_nodes, input)
+                let layout = &self.exec.artifact.layout;
+                layout.flatten_input(&self.model.input_nodes, input)
             })
             .collect()
     }
 
     /// Run a spec with the given grid strategy. Whole-model artifacts with a
-    /// serial grid run the compiled trial (batched when `spec.batch > 1`);
-    /// everything else goes through the per-node driver, which keeps the
-    /// scheduler and grid search outside the compiled code.
+    /// serial grid run the compiled trial in windows; everything else goes
+    /// through the per-node driver, which keeps the scheduler and grid
+    /// search outside the compiled code.
     pub(crate) fn run(
         &mut self,
         spec: &RunSpec,
@@ -335,13 +328,13 @@ impl CompiledDriver {
         // Snapshot the engine's counters so the result can report the
         // *per-run* delta (worker-thread deltas are absorbed into the
         // template engine before the run returns, so they are included).
-        let base_stats = self.engine.stats();
+        let base_stats = self.exec.engine.stats();
         let mut span = distill_telemetry::span("run");
         span.arg_i64("trials", spec.trials as i64);
         span.arg_i64("shards", spec.shards as i64);
         let mut result = self.run_inner(spec, grid)?;
         drop(span);
-        result.stats = self.engine.stats_since(&base_stats);
+        result.stats = self.exec.engine.stats_since(&base_stats);
         if distill_telemetry::enabled() {
             mirror_run_stats(&result.stats);
         }
@@ -358,75 +351,29 @@ impl CompiledDriver {
             return Ok(RunResult::with_capacity(0));
         }
         let flats = self.flatten_inputs(&spec.inputs);
-        match (self.compiled.trial_func, grid) {
-            (Some(trial_fn), GridStrategy::Serial) => {
-                // The sharded path requires trial independence: per-trial
-                // PRNG streams always hold (trial prologue), but state that
-                // persists across trials serializes them — such models fall
-                // back to the (identical-output) serial path.
-                if spec.shards > 1 && spec.trials > 1 && self.model.reset_state_each_trial {
-                    self.run_sharded(spec, &flats, trial_fn)
-                } else {
-                    self.run_whole(spec, &flats, trial_fn)
-                }
-            }
-            _ => self.run_per_node(spec, &flats, grid),
+        if self.exec.artifact.batch_func.is_none() || !matches!(grid, GridStrategy::Serial) {
+            return self.run_per_node(spec, &flats, grid);
         }
-    }
-
-    /// Resolve the batched entry point for a spec: `Some` when the spec
-    /// batches and the artifact was compiled with batch capacity, `None` for
-    /// the per-trial path.
-    ///
-    /// # Errors
-    /// A batching spec against an artifact without the entry point is a
-    /// driver error.
-    fn resolve_batch_fn(&self, spec: &RunSpec) -> Result<Option<distill_ir::FuncId>, DistillError> {
-        if spec.batch > 1 && self.compiled.batch_capacity > 0 {
-            Ok(Some(self.compiled.batch_func.ok_or_else(|| {
-                DistillError::Driver("artifact has no batched entry point".into())
-            })?))
+        // The sharded path requires trial independence: per-trial PRNG
+        // streams always hold (trial prologue), but state that persists
+        // across trials serializes them — such models fall back to the
+        // (identical-output) serial path.
+        if spec.shards > 1 && spec.trials > 1 && self.model.reset_state_each_trial {
+            self.run_sharded(spec, &flats)
         } else {
-            Ok(None)
+            self.run_whole(spec, &flats)
         }
     }
 
-    /// Trials per chunk for a resolved batch mode: one `trials_batch` call
-    /// per chunk when batching (capped by the staging capacity), the whole
-    /// requested batch as a per-trial loop otherwise.
-    fn chunk_trials(&self, spec: &RunSpec, batch_fn: Option<distill_ir::FuncId>) -> usize {
-        match batch_fn {
-            Some(_) => spec.batch.min(self.compiled.batch_capacity),
-            None => spec.batch,
-        }
-        .max(1)
-    }
-
-    /// Whole-model execution: one compiled call per trial, or one per batch
-    /// through the generated `trials_batch` entry point. Chunk execution is
-    /// shared with the sharded path ([`run_trial_chunk`]), so the two can
-    /// never drift apart.
-    fn run_whole(
-        &mut self,
-        spec: &RunSpec,
-        flats: &[Vec<f64>],
-        trial_fn: distill_ir::FuncId,
-    ) -> Result<RunResult, DistillError> {
+    /// Whole-model execution on the caller's thread: the trial space as
+    /// consecutive windows through the driver's own executor.
+    fn run_whole(&mut self, spec: &RunSpec, flats: &[Vec<f64>]) -> Result<RunResult, DistillError> {
         let mut result = RunResult::with_capacity(spec.trials);
-        let batch_fn = self.resolve_batch_fn(spec)?;
-        let chunk = self.chunk_trials(spec, batch_fn);
+        let window = self.exec.window(spec.batch);
         let mut done = 0usize;
         while done < spec.trials {
-            let n = chunk.min(spec.trials - done);
-            let (outs, passes) = run_trial_chunk(
-                &mut self.engine,
-                &self.compiled.layout,
-                batch_fn,
-                trial_fn,
-                flats,
-                spec.offset + done,
-                n,
-            )?;
+            let n = window.min(spec.trials - done);
+            let (outs, passes) = run_chunk(&mut self.exec, flats, spec.offset + done, n)?;
             result.outputs.extend(outs);
             result.passes.extend(passes);
             done += n;
@@ -435,31 +382,19 @@ impl CompiledDriver {
     }
 
     /// Sharded whole-model execution ([`RunSpec::with_shards`]): worker
-    /// threads pull `batch`-sized chunks of the trial space from a
+    /// threads pull window-sized chunks of the trial space from a
     /// work-stealing [`ChunkQueue`] — the same scheduling substrate as the
     /// multicore grid search, lifted from grid level to trial level. Each
-    /// worker owns an engine copy (module and predecoded code shared behind
-    /// `Arc`, only the memory image is cloned), stages its chunk through
-    /// [`distill_codegen::Layout::stage_batch`] and runs it through the
-    /// compiled `trials_batch` entry point (or trial-by-trial when the spec
-    /// does not batch). Trial outputs depend only on the trial index and its
-    /// input — the trial prologue re-derives PRNG streams per trial — so the
-    /// stitched result is bit-identical to [`CompiledDriver::run_whole`] at
-    /// any thread count and any schedule.
-    fn run_sharded(
-        &mut self,
-        spec: &RunSpec,
-        flats: &[Vec<f64>],
-        trial_fn: distill_ir::FuncId,
-    ) -> Result<RunResult, DistillError> {
-        let batch_fn = self.resolve_batch_fn(spec)?;
-        // Trials per chunk: one `trials_batch` call when batching, a
-        // per-trial loop otherwise (grouping keeps queue traffic amortized
-        // either way).
-        let chunk = self.chunk_trials(spec, batch_fn);
+    /// worker runs its chunks on its own clone of the driver's
+    /// [`ChunkExecutor`] (module and predecoded code shared behind `Arc`,
+    /// only the memory image is cloned). Trial outputs depend only on the
+    /// trial index and its input — the trial prologue re-derives PRNG
+    /// streams per trial — so the stitched result is bit-identical to
+    /// [`CompiledDriver::run_whole`] at any thread count and any schedule.
+    fn run_sharded(&mut self, spec: &RunSpec, flats: &[Vec<f64>]) -> Result<RunResult, DistillError> {
+        let chunk = self.exec.window(spec.batch);
         let n_chunks = spec.trials.div_ceil(chunk);
         let threads = spec.shards.min(n_chunks).max(1);
-        let layout = &self.compiled.layout;
         // Chunks (not trials) are the queue's unit; balance the grab size so
         // a shared-counter RMW amortizes over many chunks on fine-grained
         // specs while skew can still redistribute (same policy as the grid
@@ -474,31 +409,24 @@ impl CompiledDriver {
                 for _ in 0..threads {
                     let queue = &queue;
                     // Thread-local copy of every read-write structure.
-                    let mut engine = self.engine.clone();
+                    let mut exec = self.exec.clone();
                     handles.push(scope.spawn(move || {
                         let mut mine: Vec<ChunkResult> = Vec::new();
                         let mut grabs = GrabCount::default();
                         // Worker stats start from the template's snapshot;
                         // only the delta is this worker's own work.
-                        let base_stats = engine.stats();
+                        let base_stats = exec.engine.stats();
                         while let Some(range) = queue.grab() {
                             grabs.record();
                             for c in range {
                                 let lo = c * chunk;
                                 let n = chunk.min(spec.trials - lo);
-                                let (outs, passes) = run_trial_chunk(
-                                    &mut engine,
-                                    layout,
-                                    batch_fn,
-                                    trial_fn,
-                                    flats,
-                                    spec.offset + lo,
-                                    n,
-                                )?;
+                                let (outs, passes) =
+                                    run_chunk(&mut exec, flats, spec.offset + lo, n)?;
                                 mine.push((c, outs, passes));
                             }
                         }
-                        Ok((mine, grabs.steals(), engine.stats_since(&base_stats)))
+                        Ok((mine, grabs.steals(), exec.engine.stats_since(&base_stats)))
                     }));
                 }
                 handles
@@ -529,7 +457,7 @@ impl CompiledDriver {
             let (mine, s, stats) = r?;
             steals += s;
             worker_stats.add(&stats);
-            self.engine.absorb_stats(&stats);
+            self.exec.engine.absorb_stats(&stats);
             for (c, outs, passes) in mine {
                 slots[c] = Some((outs, passes));
             }
@@ -538,7 +466,7 @@ impl CompiledDriver {
         if threads <= 1 {
             steals = 0;
         }
-        self.engine.record_steals(steals);
+        self.exec.engine.record_steals(steals);
         let mut result = RunResult::with_capacity(spec.trials);
         for slot in slots {
             let (outs, passes) = slot.expect("chunk executed");
@@ -567,8 +495,9 @@ impl CompiledDriver {
         grid: &GridStrategy,
     ) -> Result<RunResult, DistillError> {
         use distill_cogmodel::Condition;
-        let layout = self.compiled.layout.clone();
-        let node_funcs = self.compiled.node_funcs.clone();
+        let artifact = self.exec.artifact.clone();
+        let (layout, node_funcs) = (&artifact.layout, &artifact.node_funcs);
+        let engine = &mut self.exec.engine;
         let topo = self
             .model
             .topological_order()
@@ -579,38 +508,34 @@ impl CompiledDriver {
             // it, so an offset window reproduces the same slice of a full
             // serial run.
             let trial = spec.offset + local;
-            self.engine
-                .write_global_f64(gn::EXT_INPUT, &flats[trial % flats.len()])?;
+            engine.write_global_f64(gn::EXT_INPUT, &flats[trial % flats.len()])?;
             // Reset read-write structures, exactly like the trial prologue.
-            let state_init = self.engine.read_global_f64(gn::STATE_INIT)?;
+            let state_init = engine.read_global_f64(gn::STATE_INIT)?;
             if self.model.reset_state_each_trial {
-                self.engine.write_global_f64(gn::STATE, &state_init)?;
+                engine.write_global_f64(gn::STATE, &state_init)?;
             }
             let zeros = vec![0.0; layout.out_len.max(1)];
-            self.engine.write_global_f64(gn::OUT_CUR, &zeros)?;
-            self.engine.write_global_f64(gn::OUT_PREV, &zeros)?;
+            engine.write_global_f64(gn::OUT_CUR, &zeros)?;
+            engine.write_global_f64(gn::OUT_PREV, &zeros)?;
             for i in 0..self.model.mechanisms.len() {
-                self.engine.write_global_i64(gn::COUNTERS, i, 0)?;
+                engine.write_global_i64(gn::COUNTERS, i, 0)?;
             }
             // Per-trial node PRNG streams, exactly like the compiled trial
             // prologue and the baseline runner.
-            let seed = self.compiled.config.seed;
+            let seed = artifact.config.seed;
             for i in 0..self.model.mechanisms.len() {
                 let stream = SplitMix64::trial_node_stream(seed, trial as u64, i as u64);
-                self.engine
-                    .write_global_i64(gn::RNG, i, stream.state as i64)?;
+                engine.write_global_i64(gn::RNG, i, stream.state as i64)?;
             }
 
             // Grid search driven from outside the compiled code.
-            if let (Some(ctrl), Some(eval_fn)) = (&self.model.controller, self.compiled.eval_func)
-            {
+            if let (Some(ctrl), Some(eval_fn)) = (&self.model.controller, artifact.eval_func) {
                 let grid_size = ctrl.grid_size();
                 let best_index = match grid {
                     GridStrategy::Serial => {
                         let mut best = (0usize, f64::INFINITY);
                         for g in 0..grid_size {
-                            let cost = self
-                                .engine
+                            let cost = engine
                                 .call(eval_fn, &[Value::I64(g as i64)])?
                                 .as_f64()
                                 .unwrap_or(f64::INFINITY);
@@ -621,30 +546,30 @@ impl CompiledDriver {
                         best.0
                     }
                     GridStrategy::MultiCore { threads } => {
-                        let r = mcpu::parallel_argmin(&self.engine, eval_fn, grid_size, *threads)?;
+                        let r = mcpu::parallel_argmin(&*engine, eval_fn, grid_size, *threads)?;
                         // Worker engines died with their threads; fold their
                         // counter deltas and the scheduler's steal count into
                         // the template engine.
-                        self.engine.absorb_stats(&r.stats);
-                        self.engine.record_steals(r.steals);
+                        engine.absorb_stats(&r.stats);
+                        engine.record_steals(r.steals);
                         let best = r.best_index;
                         result.grid = Some(r);
                         best
                     }
                     GridStrategy::Gpu(config) => {
-                        let r = gpu::run_grid(&self.engine, eval_fn, grid_size, config)?;
-                        self.engine.absorb_stats(&r.stats);
+                        let r = gpu::run_grid(&*engine, eval_fn, grid_size, config)?;
+                        engine.absorb_stats(&r.stats);
                         let best = r.best_index;
                         result.gpu = Some(r);
                         best
                     }
                 };
                 let alloc = ctrl.allocation(best_index);
-                let mut cur = self.engine.read_global_f64(gn::CTRL_PARAMS)?;
+                let mut cur = engine.read_global_f64(gn::CTRL_PARAMS)?;
                 for (s, level) in alloc.iter().enumerate() {
                     cur[s] = *level;
                 }
-                self.engine.write_global_f64(gn::CTRL_PARAMS, &cur)?;
+                engine.write_global_f64(gn::CTRL_PARAMS, &cur)?;
             }
 
             // The pass loop, with a boundary crossing per node execution.
@@ -662,14 +587,13 @@ impl CompiledDriver {
                     if !ready {
                         continue;
                     }
-                    self.engine.call(node_funcs[node], &[])?;
+                    engine.call(node_funcs[node], &[])?;
                     calls[node] += 1;
-                    self.engine
-                        .write_global_i64(gn::COUNTERS, node, calls[node] as i64)?;
+                    engine.write_global_i64(gn::COUNTERS, node, calls[node] as i64)?;
                 }
                 pass += 1;
-                let cur = self.engine.read_global_f64(gn::OUT_CUR)?;
-                self.engine.write_global_f64(gn::OUT_PREV, &cur)?;
+                let cur = engine.read_global_f64(gn::OUT_CUR)?;
+                engine.write_global_f64(gn::OUT_PREV, &cur)?;
                 let done = match &self.model.trial_end {
                     TrialEnd::AfterNPasses(n) => pass >= *n,
                     TrialEnd::Threshold {
@@ -686,7 +610,7 @@ impl CompiledDriver {
                     break;
                 }
             }
-            let cur = self.engine.read_global_f64(gn::OUT_CUR)?;
+            let cur = engine.read_global_f64(gn::OUT_CUR)?;
             let mut out = Vec::new();
             for &o in &self.model.output_nodes {
                 let size = self.model.mechanisms[o]
@@ -705,57 +629,106 @@ impl CompiledDriver {
 
 }
 
-/// Execute one chunk of `n` consecutive trials starting at absolute trial
-/// index `lo` on `engine`: through the `trials_batch` entry point when
-/// `batch_fn` is resolved, trial-by-trial otherwise. Returns the chunk's
-/// per-trial outputs and pass counts.
-///
-/// This is the *single* definition of compiled trial-chunk execution —
-/// [`CompiledDriver::run_whole`] drives it over the template engine and
-/// every sharded worker drives it over its own engine copy, which is what
-/// keeps serial and sharded runs bit-identical by construction rather than
-/// by parallel maintenance of two loops.
-fn run_trial_chunk(
-    engine: &mut Engine,
-    layout: &distill_codegen::Layout,
-    batch_fn: Option<distill_ir::FuncId>,
-    trial_fn: distill_ir::FuncId,
+/// Core's chunk step, shared by the serial and the sharded scheduler: the
+/// chaos hooks for the window, then the window itself.
+fn run_chunk(
+    exec: &mut ChunkExecutor,
     flats: &[Vec<f64>],
     lo: usize,
     n: usize,
 ) -> Result<(Vec<Vec<f64>>, Vec<u64>), DistillError> {
-    let out_len = layout.trial_output_len;
     crate::chaos::chunk_delay();
     crate::chaos::check_panic_trial(lo, n);
-    let mut outs = Vec::with_capacity(n);
-    let mut passes = Vec::with_capacity(n);
-    match batch_fn {
-        Some(bf) => {
-            // Stage the chunk's inputs in one global write.
-            if layout.ext_len > 0 {
-                let staging = layout.stage_batch(flats, lo, n);
-                engine.write_global_f64(gn::BATCH_EXT, &staging)?;
-            }
-            engine.call(bf, &[Value::I64(lo as i64), Value::I64(n as i64)])?;
-            // Read only the chunk's slots, one global read each.
-            let o = engine.read_global_f64_prefix(gn::BATCH_OUT, n * out_len)?;
-            let p = engine.read_global_f64_prefix(gn::BATCH_PASSES, n)?;
-            for k in 0..n {
-                outs.push(o[k * out_len..(k + 1) * out_len].to_vec());
-                passes.push(p[k] as u64);
-            }
-        }
-        None => {
-            for t in lo..lo + n {
-                engine.write_global_f64(gn::EXT_INPUT, &flats[t % flats.len()])?;
-                engine.call(trial_fn, &[Value::I64(t as i64)])?;
-                let out = engine.read_global_f64(gn::TRIAL_OUTPUT)?;
-                outs.push(out[..out_len].to_vec());
-                passes.push(engine.read_global_i64(gn::PASSES, 0)? as u64);
-            }
+    exec.run(flats, lo, n)
+}
+
+/// Runs windows of consecutive trials of one whole-model artifact through
+/// its compiled `trials_batch(lo, n)` entry point: stage the window's
+/// inputs into `batch_ext`, enter the engine once, read the window's
+/// `batch_out` / `batch_passes` slots back.
+///
+/// This is the *single* definition of compiled trial execution. The serial
+/// runner, every shard worker, every serving worker and the serving solo
+/// path hand it trial ranges, each on its own executor — which is what
+/// keeps their outputs bit-identical by construction. Cloning an executor
+/// shares the module and predecoded code and copies the memory image.
+#[derive(Clone)]
+pub struct ChunkExecutor {
+    artifact: Arc<CompiledModel>,
+    engine: Engine,
+    /// Reused `batch_ext` image, so staging a window does not allocate.
+    staging: Vec<f64>,
+}
+
+impl ChunkExecutor {
+    /// An executor over a fresh engine for `artifact`. The engine runs the
+    /// artifact's tier policy; a `DISTILL_TIER` environment request wins
+    /// over it, so a whole-process A/B can be forced without touching call
+    /// sites.
+    pub fn new(artifact: Arc<CompiledModel>) -> ChunkExecutor {
+        let policy = TierPolicy::from_env().unwrap_or(artifact.config.tier);
+        let engine = Engine::with_config(artifact.module.clone(), ExecConfig { policy });
+        ChunkExecutor {
+            artifact,
+            engine,
+            staging: Vec::new(),
         }
     }
-    Ok((outs, passes))
+
+    /// The artifact this executor runs.
+    pub fn artifact(&self) -> &CompiledModel {
+        &self.artifact
+    }
+
+    /// The executor's engine.
+    pub fn engine(&self) -> &Engine {
+        &self.engine
+    }
+
+    /// Trials per window for a requested batch size: `batch` clamped to
+    /// `[1, capacity]`, where capacity is the artifact's staging capacity.
+    pub fn window(&self, batch: usize) -> usize {
+        batch.clamp(1, self.artifact.batch_capacity.max(1))
+    }
+
+    /// Run the `n` trials `[lo, lo + n)` (absolute trial indices; `flats`
+    /// is cycled by them) and return their outputs and pass counts.
+    ///
+    /// # Errors
+    /// [`DistillError::Driver`] when the artifact has no batched entry
+    /// point (per-node artifacts) or `n` exceeds its staging capacity;
+    /// engine errors otherwise.
+    pub fn run(
+        &mut self,
+        flats: &[Vec<f64>],
+        lo: usize,
+        n: usize,
+    ) -> Result<(Vec<Vec<f64>>, Vec<u64>), DistillError> {
+        let artifact = &*self.artifact;
+        let batch_fn = match artifact.batch_func {
+            Some(f) if n <= artifact.batch_capacity => f,
+            _ => {
+                return Err(DistillError::Driver(format!(
+                    "a {n}-trial window needs a batched entry point of that capacity \
+                     (the artifact stages {})",
+                    artifact.batch_capacity
+                )))
+            }
+        };
+        let layout = &artifact.layout;
+        if layout.ext_len > 0 {
+            layout.stage_batch_into(flats, lo, n, &mut self.staging);
+            self.engine.write_global_f64(gn::BATCH_EXT, &self.staging)?;
+        }
+        self.engine
+            .call(batch_fn, &[Value::I64(lo as i64), Value::I64(n as i64)])?;
+        // Read only the window's slots, one global read each.
+        let out_len = layout.trial_output_len;
+        let o = self.engine.read_global_f64_prefix(gn::BATCH_OUT, n * out_len)?;
+        let p = self.engine.read_global_f64_prefix(gn::BATCH_PASSES, n)?;
+        let outs = (0..n).map(|k| o[k * out_len..(k + 1) * out_len].to_vec()).collect();
+        Ok((outs, p.into_iter().map(|v| v as u64).collect()))
+    }
 }
 
 /// Mirror a finished run's [`EngineStats`] delta into the global telemetry
@@ -823,10 +796,10 @@ impl Runner for CompiledBackend {
     }
 
     fn compiled(&self) -> Option<&CompiledModel> {
-        Some(&self.driver.compiled)
+        Some(self.driver.exec.artifact())
     }
 
     fn engine(&self) -> Option<&Engine> {
-        Some(&self.driver.engine)
+        Some(self.driver.exec.engine())
     }
 }

@@ -17,9 +17,10 @@ pub enum Target {
     /// compilation happens.
     Baseline(ExecMode),
     /// Compiled execution on a single core (the default). Whole-model
-    /// artifacts run the compiled trial function — batched through
-    /// `trials_batch` when the spec asks for `batch > 1`; per-node artifacts
-    /// keep the scheduler outside the compiled code.
+    /// artifacts run every trial through the compiled `trials_batch` entry
+    /// point, in windows of the spec's `batch` (one trial per window when
+    /// unbatched); per-node artifacts keep the scheduler outside the
+    /// compiled code.
     #[default]
     SingleCore,
     /// Compiled execution with the controller's grid search split across OS
@@ -101,14 +102,6 @@ impl Session {
     #[must_use]
     pub fn seed(mut self, seed: u64) -> Session {
         self.config.seed = seed;
-        self
-    }
-
-    /// Set the batched entry point's capacity (trials per engine entry);
-    /// `0` disables batched codegen.
-    #[must_use]
-    pub fn batch_capacity(mut self, capacity: usize) -> Session {
-        self.config.batch_capacity = capacity;
         self
     }
 

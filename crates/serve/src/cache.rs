@@ -309,12 +309,13 @@ mod tests {
             .unwrap();
         let clean = std::fs::read(&path).unwrap();
 
-        // Bit-flip deep in the body (past magic+version, so it is a payload
-        // corruption, not a version skew) and truncate — each must be a
-        // counted disk_stale miss that recompiles and overwrites in place.
+        // Bit-flip the first payload byte, the compile-mode tag (past
+        // magic+version, so it is a payload corruption, not a version
+        // skew), and truncate — each must be a counted disk_stale miss that
+        // recompiles and overwrites in place. The codec has no checksum, so
+        // a flip inside a constant's bits would decode; the tag flip cannot.
         let mut flipped = clean.clone();
-        let idx = clean.len() / 2;
-        flipped[idx] ^= 0x20;
+        flipped[distill::artifact::ARTIFACT_MAGIC.len() + 4] ^= 0x20;
         let truncated = clean[..clean.len() / 3].to_vec();
         for (label, bad) in [("bit-flipped", flipped), ("truncated", truncated)] {
             std::fs::write(&path, &bad).unwrap();

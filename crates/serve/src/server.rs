@@ -49,10 +49,9 @@
 //! This holds because trials are independent (per-trial PRNG streams are
 //! derived from the absolute trial index; lanes require whole-model
 //! artifacts, whose trial prologue resets state), because staged inputs are
-//! cycled by absolute index, and because chunk execution here is the same
-//! sequence of engine operations the offline driver performs — the
-//! serial/sharded bit-identity the core runner guarantees extends to the
-//! serving path.
+//! cycled by absolute index, and because chunks run through the offline
+//! driver's own [`ChunkExecutor`] — the serial/sharded bit-identity the
+//! core runner guarantees extends to the serving path.
 //!
 //! # Resilience
 //!
@@ -70,8 +69,7 @@
 //!   from the lane's observed per-trial service time.
 //! * **Worker-panic quarantine** — a chunk that panics (engine bug or an
 //!   armed [`distill::chaos`] plan) is caught at the span boundary on the
-//!   worker. The panicking worker drops its engine/staging clones for the
-//!   lane, the requests overlapping the lost chunk get
+//!   worker. The panicking worker drops its executor for the lane, the requests overlapping the lost chunk get
 //!   [`ServeError::WorkerPanicked`], and every *other* segment of the span
 //!   is requeued at the front of its lane and re-served — bit-identically,
 //!   because segments carry absolute trial indices and re-execution is the
@@ -84,10 +82,9 @@ use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use distill::{global_names as gn, Engine, ExecConfig, TierPolicy, Value};
-use distill_codegen::{CompileConfig, CompiledModel, StagingBuffer};
+use distill::ChunkExecutor;
+use distill_codegen::CompileConfig;
 use distill_exec::ChunkQueue;
-use distill_ir::FuncId;
 use distill_models::Scale;
 
 use crate::cache::{ArtifactCache, CacheStats};
@@ -100,9 +97,10 @@ use distill_telemetry as telemetry;
 pub struct ServeConfig {
     /// Executor threads (default 2).
     pub workers: usize,
-    /// Trials per engine entry: chunk size for the batched entry point
-    /// (clamped to the artifact's `batch_capacity`); `1` disables batched
-    /// execution (default 32).
+    /// Trials per engine entry: the window size every chunk runs through
+    /// the artifact's `trials_batch` entry point with (clamped to the
+    /// artifact's `batch_capacity`; `1` runs one trial per entry; default
+    /// 32).
     pub batch: usize,
     /// Most trials one span may cover; oversized requests split across
     /// spans. `0` (the default) resolves to `batch * 32`.
@@ -206,7 +204,7 @@ pub struct ServeStats {
     pub spans: u64,
     /// Spans that coalesced trials from more than one request.
     pub coalesced_spans: u64,
-    /// Batched engine entries (`trials_batch` calls).
+    /// Engine entries (`trials_batch` calls), one per executed chunk.
     pub batch_calls: u64,
     /// Submissions shed by admission control ([`ServeError::Overloaded`]).
     pub shed: u64,
@@ -303,17 +301,12 @@ impl Ticket {
 /// Everything a worker needs to execute a lane's trials: shared by the
 /// lane, every in-flight span and [`Server::run_solo`].
 struct LaneExec {
-    artifact: Arc<CompiledModel>,
     /// Flattened per-trial inputs, cycled by absolute trial index.
     flats: Vec<Vec<f64>>,
-    /// The batched entry point, resolved iff batching is usable for this
-    /// lane (`config.batch > 1` and the artifact has batch capacity).
-    batch_fn: Option<FuncId>,
-    trial_fn: FuncId,
     /// Trials per engine entry for this lane's spans.
     chunk: usize,
     /// Cloned per worker; cloning shares code, copies memory.
-    template: Engine,
+    template: ChunkExecutor,
     /// EWMA of observed per-trial service time, updated per completed
     /// chunk; feeds the [`ServeError::Overloaded`] retry hint. `0` until
     /// the lane's first chunk completes.
@@ -378,7 +371,7 @@ struct SpanWork {
 /// chunked over a work-stealing queue.
 struct SpanJob {
     exec: Arc<LaneExec>,
-    /// Lane index, used to key worker-local engine/staging reuse.
+    /// Lane index, used to key worker-local executor reuse.
     lane: usize,
     /// Absolute trial index of the span's first trial.
     lo: usize,
@@ -487,9 +480,10 @@ impl Server {
     }
 
     /// Run `trials` trials of `family` starting at absolute index `start`
-    /// as if the request were alone on an idle server: a fresh engine,
-    /// trial-by-trial, bypassing the scheduler entirely. This is the
-    /// identity baseline coalesced responses are compared against.
+    /// as if the request were alone on an idle server: a fresh executor
+    /// running the range window by window on the caller's thread, bypassing
+    /// the scheduler (and every chaos hook) entirely. This is the identity
+    /// baseline coalesced responses are compared against.
     pub fn run_solo(
         &self,
         family: &str,
@@ -644,38 +638,26 @@ impl Inner {
                 )))
             })?
         };
-        let trial_fn = artifact.trial_func.ok_or_else(|| {
-            ServeError::Build(format!(
+        if artifact.batch_func.is_none() {
+            return Err(ServeError::Build(format!(
                 "family `{family}` compiled without a whole-model entry point \
                  (serving requires CompileMode::WholeModel)"
-            ))
-        })?;
+            )));
+        }
         let mut flats: Vec<Vec<f64>> = workload
             .inputs
             .iter()
             .map(|input| artifact.layout.flatten_input(&workload.model.input_nodes, input))
             .collect();
         if flats.is_empty() {
-            // No registered inputs: every trial reads a zeroed input image,
-            // matching the batched staging path's zero-fill.
+            // No registered inputs: every trial reads a zeroed input image.
             flats.push(vec![0.0; artifact.layout.ext_len]);
         }
-        let policy = TierPolicy::from_env().unwrap_or(artifact.config.tier);
-        let template = Engine::with_config(artifact.module.clone(), ExecConfig { policy });
-        let batch_usable =
-            self.config.batch > 1 && artifact.batch_capacity > 0 && artifact.batch_func.is_some();
-        let chunk = if batch_usable {
-            self.config.batch.min(artifact.batch_capacity)
-        } else {
-            self.config.batch
-        };
+        let template = ChunkExecutor::new(artifact);
         let exec = Arc::new(LaneExec {
-            batch_fn: if batch_usable { artifact.batch_func } else { None },
-            trial_fn,
-            chunk,
+            chunk: template.window(self.config.batch),
             flats,
             template,
-            artifact,
             ns_per_trial: AtomicU64::new(0),
         });
         let mut st = self.state.lock().unwrap();
@@ -711,20 +693,16 @@ impl Inner {
         let lane_idx = self.ensure_lane(family)?;
         let exec = self.state.lock().unwrap().lanes[lane_idx].exec.clone();
         let t0 = Instant::now();
-        let mut engine = exec.template.clone();
-        let out_len = exec.artifact.layout.trial_output_len;
+        let mut executor = exec.template.clone();
         let mut outputs = Vec::with_capacity(trials);
         let mut passes = Vec::with_capacity(trials);
-        for t in start..start + trials {
-            engine
-                .write_global_f64(gn::EXT_INPUT, &exec.flats[t % exec.flats.len()])
-                .map_err(exec_err)?;
-            engine
-                .call(exec.trial_fn, &[Value::I64(t as i64)])
-                .map_err(exec_err)?;
-            let out = engine.read_global_f64(gn::TRIAL_OUTPUT).map_err(exec_err)?;
-            outputs.push(out[..out_len].to_vec());
-            passes.push(engine.read_global_i64(gn::PASSES, 0).map_err(exec_err)? as u64);
+        let mut lo = start;
+        while lo < start + trials {
+            let n = exec.chunk.min(start + trials - lo);
+            let (o, p) = executor.run(&exec.flats, lo, n).map_err(exec_err)?;
+            outputs.extend(o);
+            passes.extend(p);
+            lo += n;
         }
         Ok(TrialResponse {
             family: family.to_string(),
@@ -737,7 +715,7 @@ impl Inner {
     }
 }
 
-fn exec_err(e: distill::ExecError) -> ServeError {
+fn exec_err(e: distill::DistillError) -> ServeError {
     ServeError::Exec(e.to_string())
 }
 
@@ -891,11 +869,10 @@ fn pack_lane_span(lane: &mut Lane, lane_idx: usize, span_cap: usize) -> Arc<Span
 /// flagged *and* every queued trial has been packed and grabbed — drop
 /// drains, it does not abandon.
 fn worker_loop(inner: &Arc<Inner>) {
-    // Worker-local engine and staging-buffer reuse, keyed by lane: cloning
-    // the template engine copies globals, so it happens once per
-    // (worker, lane), not per chunk.
-    let mut engines: HashMap<usize, Engine> = HashMap::new();
-    let mut stagings: HashMap<usize, StagingBuffer> = HashMap::new();
+    // Worker-local executor reuse, keyed by lane: cloning the template
+    // copies the engine's globals, so it happens once per (worker, lane),
+    // not per chunk.
+    let mut executors: HashMap<usize, ChunkExecutor> = HashMap::new();
     loop {
         let grabbed = {
             let mut st = inner.state.lock().unwrap();
@@ -915,34 +892,25 @@ fn worker_loop(inner: &Arc<Inner>) {
         let Some((span, range)) = grabbed else {
             return;
         };
-        run_span_chunk(inner, &span, range, &mut engines, &mut stagings);
+        run_span_chunk(inner, &span, range, &mut executors);
     }
 }
 
-/// Execute one chunk of a span and record it; the worker that completes
-/// the span's last trial demuxes the results to the requesters.
-///
-/// The engine-operation sequence here mirrors the offline driver's
-/// trial-chunk execution exactly (stage → `trials_batch(lo, n)` → read
-/// back, or the trial-by-trial path for unbatched lanes) — with the one
-/// serving twist that inputs go through a worker-local double-buffered
-/// [`StagingBuffer`], whose published image is byte-identical to the
-/// offline `stage_batch` allocation.
+/// Execute one chunk of a span on the worker's executor for the lane and
+/// record it; the worker that completes the span's last trial demuxes the
+/// results to the requesters.
 fn run_span_chunk(
     inner: &Inner,
     span: &SpanJob,
     range: std::ops::Range<usize>,
-    engines: &mut HashMap<usize, Engine>,
-    stagings: &mut HashMap<usize, StagingBuffer>,
+    executors: &mut HashMap<usize, ChunkExecutor>,
 ) {
     let exec = &span.exec;
-    let layout = &exec.artifact.layout;
-    let out_len = layout.trial_output_len;
     let n = range.len();
     let lo = span.lo + range.start;
     let t0 = Instant::now();
     let result = {
-        let engine = engines
+        let executor = executors
             .entry(span.lane)
             .or_insert_with(|| exec.template.clone());
         let mut chunk_span = telemetry::span("serve.chunk");
@@ -952,61 +920,16 @@ fn run_span_chunk(
         // The chunk body runs under catch_unwind: a panic (an engine bug,
         // or an armed chaos plan) must quarantine this chunk, not unwind
         // the worker thread and strand the span.
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(
-            || -> Result<(Vec<Vec<f64>>, Vec<u64>), ServeError> {
-                distill::chaos::chunk_delay();
-                distill::chaos::check_panic_trial(lo, n);
-                let mut outs = Vec::with_capacity(n);
-                let mut passes = Vec::with_capacity(n);
-                match exec.batch_fn {
-                    Some(bf) => {
-                        if layout.ext_len > 0 {
-                            let staging = stagings
-                                .entry(span.lane)
-                                .or_insert_with(|| layout.staging_buffer(exec.chunk));
-                            staging.stage(&exec.flats, lo, n);
-                            engine
-                                .write_global_f64(gn::BATCH_EXT, staging.publish())
-                                .map_err(exec_err)?;
-                        }
-                        engine
-                            .call(bf, &[Value::I64(lo as i64), Value::I64(n as i64)])
-                            .map_err(exec_err)?;
-                        inner.counters.batch_calls.fetch_add(1, Ordering::Relaxed);
-                        if telemetry::enabled() {
-                            serve_probes().batch_calls.inc();
-                        }
-                        let o = engine
-                            .read_global_f64_prefix(gn::BATCH_OUT, n * out_len)
-                            .map_err(exec_err)?;
-                        let p = engine
-                            .read_global_f64_prefix(gn::BATCH_PASSES, n)
-                            .map_err(exec_err)?;
-                        for k in 0..n {
-                            outs.push(o[k * out_len..(k + 1) * out_len].to_vec());
-                            passes.push(p[k] as u64);
-                        }
-                    }
-                    None => {
-                        for t in lo..lo + n {
-                            engine
-                                .write_global_f64(gn::EXT_INPUT, &exec.flats[t % exec.flats.len()])
-                                .map_err(exec_err)?;
-                            engine
-                                .call(exec.trial_fn, &[Value::I64(t as i64)])
-                                .map_err(exec_err)?;
-                            let out =
-                                engine.read_global_f64(gn::TRIAL_OUTPUT).map_err(exec_err)?;
-                            outs.push(out[..out_len].to_vec());
-                            passes.push(
-                                engine.read_global_i64(gn::PASSES, 0).map_err(exec_err)? as u64
-                            );
-                        }
-                    }
-                }
-                Ok((outs, passes))
-            },
-        ));
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            distill::chaos::chunk_delay();
+            distill::chaos::check_panic_trial(lo, n);
+            let r = executor.run(&exec.flats, lo, n).map_err(exec_err)?;
+            inner.counters.batch_calls.fetch_add(1, Ordering::Relaxed);
+            if telemetry::enabled() {
+                serve_probes().batch_calls.inc();
+            }
+            Ok(r)
+        }));
         drop(chunk_span);
         result
     };
@@ -1028,12 +951,11 @@ fn run_span_chunk(
         }
         Ok(Err(e)) => work.failed = Some(e),
         Err(payload) => {
-            // Quarantine: the worker's engine (and staging buffer) for
-            // this lane may be mid-trial; drop both so the next chunk
-            // starts from a fresh template clone. Other workers' clones
-            // and the shared template are unaffected.
-            engines.remove(&span.lane);
-            stagings.remove(&span.lane);
+            // Quarantine: the worker's executor for this lane may be
+            // mid-trial; drop it so the next chunk starts from a fresh
+            // template clone. Other workers' clones and the shared
+            // template are unaffected.
+            executors.remove(&span.lane);
             let msg = distill_exec::panic_message(payload.as_ref());
             inner.counters.worker_panics.fetch_add(1, Ordering::Relaxed);
             if telemetry::enabled() {
@@ -1243,7 +1165,21 @@ mod tests {
         assert_eq!(a.outputs, b.outputs);
         assert_eq!(a.passes, b.passes);
         assert_eq!(batched.stats().batch_calls, 1);
-        assert_eq!(unbatched.stats().batch_calls, 0);
+        // Unbatched lanes run windows of one: one engine entry per trial.
+        assert_eq!(unbatched.stats().batch_calls, 5);
+        // An oversized batch clamps to the staging capacity and stays
+        // solo-identical.
+        let oversized = server(2, 100);
+        let c = oversized
+            .submit(TrialRequest::new("botvinick_stroop", 70))
+            .unwrap()
+            .wait()
+            .unwrap();
+        let solo = oversized.run_solo("botvinick_stroop", 0, 70).unwrap();
+        assert_eq!(c.outputs, solo.outputs);
+        assert_eq!(c.passes, solo.passes);
+        assert_eq!(c.outputs[..5], a.outputs[..]);
+        assert_eq!(oversized.stats().batch_calls, 2, "70 trials in windows of 64");
     }
 
     #[test]

@@ -18,7 +18,8 @@
 
 use distill::{
     compile, global_names as gn, parallel_argmin, serial_argmin, CompileConfig, CompileMode,
-    CompiledModel, Engine, ExecConfig, ExecError, OptLevel, Tier, TierPolicy, Value,
+    CompiledModel, Engine, ExecConfig, ExecError, OptLevel, RunSpec, Session, Tier, TierPolicy,
+    Value,
 };
 use distill_ir::{BinOp, CmpPred, FunctionBuilder, Module, Terminator, Ty};
 use distill_models::{
@@ -56,7 +57,11 @@ fn tier_engines(artifact: &CompiledModel) -> Vec<(Tier, Engine)> {
 /// Run `trials` whole-model trials on every tier and assert bit-identical
 /// behaviour against the reference oracle: same results, same trial
 /// outputs, same final memory — and the same counters on the threaded
-/// (default) tier as on the fused one.
+/// (default) tier as on the fused one. Families with inputs also run
+/// through a `Session` runner over the same artifact, which enters the
+/// engine only through `trials_batch`: in windows of one and in one window
+/// of all trials, it must reproduce the reference tier's per-trial
+/// `trial` outputs and pass counts.
 fn differential_whole_model(w: &Workload, config: CompileConfig, trials: usize) {
     let artifact = compile(&w.model, config).expect("compilation succeeds");
     let trial_fn = artifact
@@ -70,6 +75,8 @@ fn differential_whole_model(w: &Workload, config: CompileConfig, trials: usize) 
             .map(|v| v.to_bits())
             .collect()
     };
+    let mut reference_bits = Vec::new();
+    let mut reference_passes = Vec::new();
     for trial in 0..trials {
         let flat = flatten(w, &artifact, trial);
         let args = [Value::I64(trial as i64)];
@@ -79,7 +86,11 @@ fn differential_whole_model(w: &Workload, config: CompileConfig, trials: usize) 
             let r = engine.call(trial_fn, &args);
             let bits = out_bits(engine);
             match &oracle {
-                None => oracle = Some((r, bits)),
+                None => {
+                    reference_bits.push(bits.clone());
+                    reference_passes.push(engine.read_global_i64(gn::PASSES, 0).unwrap() as u64);
+                    oracle = Some((r, bits));
+                }
                 Some((r0, b0)) => {
                     assert_eq!(
                         &r, r0,
@@ -115,6 +126,26 @@ fn differential_whole_model(w: &Workload, config: CompileConfig, trials: usize) 
         "{}: threaded counters diverged from fused",
         w.model.name
     );
+    if w.inputs.is_empty() {
+        return;
+    }
+    for spec in [
+        RunSpec::new(w.inputs.clone(), trials),
+        RunSpec::new(w.inputs.clone(), trials).with_batch(trials),
+    ] {
+        // A fresh runner per spec: families that keep state across trials
+        // must start from the same memory as the reference engine did.
+        let mut runner = Session::new(&w.model).build_with(artifact.clone()).unwrap();
+        let r = runner.run(&spec).unwrap();
+        let bits: Vec<Vec<u64>> = r
+            .outputs
+            .iter()
+            .map(|o| o.iter().map(|v| v.to_bits()).collect())
+            .collect();
+        let batch = spec.batch;
+        assert_eq!(bits, reference_bits, "{}: batch {batch} outputs", w.model.name);
+        assert_eq!(r.passes, reference_passes, "{}: batch {batch} passes", w.model.name);
+    }
 }
 
 /// Run the controller's grid-evaluation kernel on every tier.
@@ -484,7 +515,7 @@ fn seeded_skew_kernel(seed: i64) -> (Engine, distill_ir::FuncId) {
 
 #[test]
 fn multicore_driver_folds_steals_into_engine_stats() {
-    use distill::{RunSpec, Session, Target};
+    use distill::Target;
     let w = predator_prey(4);
     let mut runner = Session::new(&w.model)
         .target(Target::MultiCore { threads: 2 })
@@ -533,7 +564,6 @@ fn multicore_driver_folds_steals_into_engine_stats() {
 
 #[test]
 fn run_results_carry_per_run_stats_not_engine_lifetime_aggregates() {
-    use distill::{RunSpec, Session};
     let w = predator_prey_s();
     let mut runner = Session::new(&w.model).build().expect("runner builds");
     let spec = RunSpec::new(w.inputs.clone(), 2);
@@ -555,7 +585,6 @@ fn run_results_carry_per_run_stats_not_engine_lifetime_aggregates() {
 
 #[test]
 fn sessions_match_on_every_fixed_tier() {
-    use distill::{RunSpec, Session};
     let w = predator_prey_s();
     let spec = RunSpec::new(w.inputs.clone(), 4);
     let run_with = |policy: TierPolicy| {

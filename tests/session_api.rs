@@ -1,7 +1,7 @@
-//! Integration tests of the `Session`/`Runner` API: batched execution is
-//! bit-identical to per-trial execution on every target and across model
-//! families, and malformed specs fail loudly with driver errors instead of
-//! panicking or truncating silently.
+//! Integration tests of the `Session`/`Runner` API: every batch size is
+//! bit-identical to one trial per engine entry on every target and across
+//! model families, and malformed specs fail loudly with driver errors
+//! instead of panicking or truncating silently.
 
 use distill::{
     CompileMode, DistillError, ExecMode, GpuConfig, RunSpec, Runner, Session, Target,
@@ -61,34 +61,33 @@ fn batched_equals_per_trial_on_every_target_and_family() {
     }
 }
 
-/// Batching also holds when the batch does not divide the trial count and
-/// when it exceeds the compiled staging capacity (the driver chunks).
+/// Batching also holds when the batch does not divide the trial count, when
+/// it exceeds the compiled staging capacity (the driver runs capacity-sized
+/// windows), and when a caller sets the pub field to 0.
 #[test]
 fn batch_chunking_handles_remainders_and_capacity() {
     let w = necker_cube_s();
-    let reference = Session::new(&w.model)
-        .build()
-        .unwrap()
-        .run(&RunSpec::new(w.inputs.clone(), 11))
-        .unwrap();
-    // Capacity 4 with batch 64 forces ceil(11/4) = 3 chunks.
-    let chunked = Session::new(&w.model)
-        .batch_capacity(4)
-        .build()
-        .unwrap()
-        .run(&RunSpec::new(w.inputs.clone(), 11).with_batch(64))
-        .unwrap();
-    assert_eq!(reference.outputs, chunked.outputs);
-    assert_eq!(reference.passes, chunked.passes);
-    // Capacity 0 disables batched codegen; batch > 1 falls back to
-    // per-trial execution with identical results.
-    let fallback = Session::new(&w.model)
-        .batch_capacity(0)
-        .build()
-        .unwrap()
-        .run(&RunSpec::new(w.inputs.clone(), 11).with_batch(8))
-        .unwrap();
-    assert_eq!(reference.outputs, fallback.outputs);
+    let trials = 150;
+    let mut runner = Session::new(&w.model).build().unwrap();
+    let capacity = runner.compiled().unwrap().batch_capacity;
+    let reference = runner.run(&RunSpec::new(w.inputs.clone(), trials)).unwrap();
+    let mut zero = RunSpec::new(w.inputs.clone(), trials);
+    zero.batch = 0;
+    for spec in [
+        RunSpec::new(w.inputs.clone(), trials).with_batch(7),
+        // Batch 1000 over capacity 64 forces ceil(150/64) = 3 windows.
+        RunSpec::new(w.inputs.clone(), trials).with_batch(1000),
+        RunSpec::new(w.inputs.clone(), trials).with_batch(1000).with_shards(2),
+        zero,
+    ] {
+        let got = runner.run(&spec).unwrap();
+        assert_eq!(reference.outputs, got.outputs, "batch {}", spec.batch);
+        assert_eq!(reference.passes, got.passes, "batch {}", spec.batch);
+        if let Some(shards) = got.shards {
+            assert_eq!(shards.batch, capacity);
+            assert_eq!(shards.chunks, trials.div_ceil(capacity));
+        }
+    }
 }
 
 /// Regression: empty inputs with a non-zero trial count used to panic with a
