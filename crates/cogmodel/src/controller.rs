@@ -75,9 +75,15 @@ impl Controller {
 
 /// Reservoir-sampling argmin: keeps a single best index while scanning
 /// candidate costs, choosing uniformly at random among ties without storing
-/// them (§3.3). The generic driver is shared by the baseline runner, the
-/// compiled single-thread driver and the per-chunk reduction of the
-/// multicore/GPU backends.
+/// them (§3.3).
+///
+/// This is the one host-side definition of a grid search's winner: the
+/// baseline runner offers each cost as it evaluates it, and the compiled
+/// per-node driver folds the cost window that its serial, multicore or GPU
+/// grid executor filled, in index order, seeded with `seed ^ trial`. The
+/// whole-model trial function carries the same fold in IR. The reservoir
+/// starts at index 0, as the IR fold does, so a grid whose costs never
+/// compare (all NaN) picks index 0 everywhere.
 #[derive(Debug, Clone, Copy)]
 pub struct ReservoirArgmin {
     best_cost: f64,
@@ -91,7 +97,7 @@ impl ReservoirArgmin {
     pub fn new(seed: u64) -> ReservoirArgmin {
         ReservoirArgmin {
             best_cost: f64::INFINITY,
-            best_index: usize::MAX,
+            best_index: 0,
             ties_seen: 0,
             rng: SplitMix64::new(seed),
         }
@@ -110,26 +116,6 @@ impl ReservoirArgmin {
             if self.rng.uniform() < 1.0 / self.ties_seen as f64 {
                 self.best_index = index;
             }
-        }
-    }
-
-    /// Merge another reservoir (used to reduce per-thread results).
-    pub fn merge(&mut self, other: &ReservoirArgmin) {
-        if other.best_index == usize::MAX {
-            return;
-        }
-        if other.best_cost < self.best_cost {
-            self.best_cost = other.best_cost;
-            self.best_index = other.best_index;
-            self.ties_seen = other.ties_seen;
-        } else if other.best_cost == self.best_cost && self.best_index != usize::MAX {
-            let total = self.ties_seen + other.ties_seen;
-            if self.rng.uniform() < other.ties_seen as f64 / total as f64 {
-                self.best_index = other.best_index;
-            }
-            self.ties_seen = total;
-        } else if self.best_index == usize::MAX {
-            *self = *other;
         }
     }
 
@@ -225,20 +211,5 @@ mod tests {
         for w in wins {
             assert!((700..1300).contains(&w), "tie-breaking is skewed: {wins:?}");
         }
-    }
-
-    #[test]
-    fn reservoir_merge_prefers_lower_cost() {
-        let mut a = ReservoirArgmin::new(1);
-        a.offer(0, 2.0);
-        let mut b = ReservoirArgmin::new(2);
-        b.offer(5, 1.0);
-        a.merge(&b);
-        assert_eq!(a.best_index(), 5);
-        assert_eq!(a.best_cost(), 1.0);
-        // Merging an empty reservoir changes nothing.
-        let empty = ReservoirArgmin::new(3);
-        a.merge(&empty);
-        assert_eq!(a.best_index(), 5);
     }
 }

@@ -19,7 +19,7 @@
 //!     window, before running it. The executor itself and the serving
 //!     solo path poll nothing.
 //!   - [`check_panic_build`]: the serving artifact cache's compile path.
-//!   - [`corrupt_artifact_read`]: [`crate::read_artifact`].
+//!   - [`corrupt_artifact_read`], polled by [`crate::read_artifact`].
 //!
 //!   Each armed fault fires **once** and disarms itself, so a recovery
 //!   path re-running the same trial range is not re-injected — exactly the

@@ -52,8 +52,8 @@ pub use distill_analysis as analysis;
 pub use distill_codegen::{compile, global_names, CompileConfig, CompileMode, CompiledModel};
 pub use distill_cogmodel::{BaselineRunner, Composition, RunError};
 pub use distill_exec::{
-    parallel_argmin, serial_argmin, ChunkQueue, Engine, EngineStats, ExecConfig, ExecError,
-    FuseSummary, GpuConfig, GpuRunReport, ParallelResult, Tier, TierPolicy, Value,
+    grid_costs, ChunkQueue, Engine, EngineStats, ExecConfig, ExecError, FuseSummary, GpuConfig,
+    GpuRunReport, ParallelResult, Tier, TierPolicy, Value,
 };
 pub use distill_opt::OptLevel;
 pub use distill_pyvm::ExecMode;

@@ -10,6 +10,7 @@
 
 use crate::DistillError;
 use distill_cogmodel::composition::TrialEnd;
+use distill_cogmodel::controller::ReservoirArgmin;
 use distill_cogmodel::runner::TrialInput;
 use distill_cogmodel::{BaselineRunner, Composition};
 use distill_codegen::global_names as gn;
@@ -273,13 +274,16 @@ impl Runner for BaselineBackend {
 // Compiled backends
 // ---------------------------------------------------------------------------
 
-/// How a compiled backend executes a controller's grid search.
+/// How a compiled backend executes phase 1 of a controller's grid search.
+/// Every strategy fills the same cost window, and the per-node driver folds
+/// it through one [`ReservoirArgmin`], so the winner does not depend on the
+/// strategy.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) enum GridStrategy {
-    /// Inside the compiled trial function (whole-model) or as a serial
-    /// driver loop (per-node).
+    /// Inside the compiled trial function (whole-model), or through
+    /// [`mcpu::grid_costs`] on the caller's thread (per-node).
     Serial,
-    /// Split across OS threads via [`mcpu::parallel_argmin`].
+    /// Split across OS threads via [`mcpu::grid_costs`].
     MultiCore {
         /// Worker thread count.
         threads: usize,
@@ -503,6 +507,8 @@ impl CompiledDriver {
             .topological_order()
             .map_err(|e| DistillError::Driver(e.to_string()))?;
         let mut result = RunResult::with_capacity(spec.trials);
+        // The grid's cost window, reused across trials.
+        let mut costs = Vec::new();
         for local in 0..spec.trials {
             // Absolute trial index: PRNG streams and input cycling key off
             // it, so an offset window reproduces the same slice of a full
@@ -528,43 +534,35 @@ impl CompiledDriver {
                 engine.write_global_i64(gn::RNG, i, stream.state as i64)?;
             }
 
-            // Grid search driven from outside the compiled code.
+            // Grid search driven from outside the compiled code: phase 1
+            // fills the cost window on the chosen executor, phase 2 folds it
+            // in index order through the baseline's reservoir.
             if let (Some(ctrl), Some(eval_fn)) = (&self.model.controller, artifact.eval_func) {
-                let grid_size = ctrl.grid_size();
-                let best_index = match grid {
-                    GridStrategy::Serial => {
-                        let mut best = (0usize, f64::INFINITY);
-                        for g in 0..grid_size {
-                            let cost = engine
-                                .call(eval_fn, &[Value::I64(g as i64)])?
-                                .as_f64()
-                                .unwrap_or(f64::INFINITY);
-                            if cost < best.1 {
-                                best = (g, cost);
-                            }
-                        }
-                        best.0
-                    }
-                    GridStrategy::MultiCore { threads } => {
-                        let r = mcpu::parallel_argmin(&*engine, eval_fn, grid_size, *threads)?;
-                        // Worker engines died with their threads; fold their
-                        // counter deltas and the scheduler's steal count into
-                        // the template engine.
-                        engine.absorb_stats(&r.stats);
-                        engine.record_steals(r.steals);
-                        let best = r.best_index;
+                costs.resize(ctrl.grid_size(), 0.0);
+                if let GridStrategy::Gpu(config) = grid {
+                    let r = gpu::run_grid(&*engine, eval_fn, &mut costs, config)?;
+                    engine.absorb_stats(&r.stats);
+                    result.gpu = Some(r);
+                } else {
+                    let threads = match grid {
+                        GridStrategy::MultiCore { threads } => *threads,
+                        _ => 1,
+                    };
+                    let r = mcpu::grid_costs(&*engine, eval_fn, &mut costs, threads)?;
+                    // Worker engines died with their threads; fold their
+                    // counter deltas and the scheduler's steal count into
+                    // the template engine.
+                    engine.absorb_stats(&r.stats);
+                    engine.record_steals(r.steals);
+                    if matches!(grid, GridStrategy::MultiCore { .. }) {
                         result.grid = Some(r);
-                        best
                     }
-                    GridStrategy::Gpu(config) => {
-                        let r = gpu::run_grid(&*engine, eval_fn, grid_size, config)?;
-                        engine.absorb_stats(&r.stats);
-                        let best = r.best_index;
-                        result.gpu = Some(r);
-                        best
-                    }
-                };
-                let alloc = ctrl.allocation(best_index);
+                }
+                let mut fold = ReservoirArgmin::new(artifact.config.seed ^ trial as u64);
+                for (g, &cost) in costs.iter().enumerate() {
+                    fold.offer(g, cost);
+                }
+                let alloc = ctrl.allocation(fold.best_index());
                 let mut cur = engine.read_global_f64(gn::CTRL_PARAMS)?;
                 for (s, level) in alloc.iter().enumerate() {
                     cur[s] = *level;

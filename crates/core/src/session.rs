@@ -25,14 +25,18 @@ pub enum Target {
     SingleCore,
     /// Compiled execution with the controller's grid search split across OS
     /// threads (Fig. 5c, `mCPU`). The scheduler is driven per node so the
-    /// grid phase can be extracted; models without a controller execute like
-    /// a per-node single-core run.
+    /// grid phase can be extracted: the threads fill the grid's cost window
+    /// and the driver folds it through the same tie-breaking argmin as the
+    /// baseline, so outputs are bitwise those of [`Target::SingleCore`].
+    /// Models without a controller execute like a per-node single-core run.
     MultiCore {
         /// Worker thread count for the grid search.
         threads: usize,
     },
     /// Compiled execution with the grid search on the simulated SIMT GPU
-    /// (Fig. 5c / Fig. 6); the run result carries the modelled
+    /// (Fig. 5c / Fig. 6): the GPU fills the cost window that
+    /// [`Target::MultiCore`] does, with the same fold and the same outputs,
+    /// and the run result carries the modelled
     /// [`distill_exec::GpuRunReport`].
     Gpu(GpuConfig),
 }

@@ -91,10 +91,6 @@ impl GpuConfig {
 /// What the simulated launch reports.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GpuRunReport {
-    /// Index of the winning grid point (functional result).
-    pub best_index: usize,
-    /// Its cost.
-    pub best_cost: f64,
     /// Number of evaluations (threads launched).
     pub evaluations: usize,
     /// Modelled occupancy: resident threads / maximum resident threads.
@@ -113,33 +109,35 @@ pub struct GpuRunReport {
     pub stats: EngineStats,
 }
 
-/// Execute the evaluation kernel for every grid point on the simulated GPU
-/// and return both the functional argmin and the modelled timing.
+/// Phase 1 of a grid search on the simulated GPU: set `costs[i]` to the
+/// evaluation kernel's cost of grid point `i` for every `i in
+/// 0..costs.len()` (the same window [`crate::mcpu::grid_costs`] fills) and
+/// return the modelled timing. Choosing the winner is the caller's phase 2.
 ///
 /// # Errors
-/// Returns the first [`ExecError`] raised by the kernel.
+/// Returns the first [`ExecError`] raised by the kernel; a kernel not
+/// returning `f64` is [`ExecError::Type`].
 pub fn run_grid(
     engine: &Engine,
     eval_func: FuncId,
-    grid_size: usize,
+    costs: &mut [f64],
     config: &GpuConfig,
 ) -> Result<GpuRunReport, ExecError> {
     // ---- functional execution (one logical thread per grid point) --------
     // The kernel runs through the *unfused* decoded path on purpose: the
     // timing model below consumes the per-thread instruction count, which
     // must approximate the kernel's architectural instruction stream — not
-    // the host interpreter's dispatch count, which shrinks when the fusion
-    // knob is on. A host-side peephole pass must never change modelled GPU
-    // time.
+    // the host interpreter's dispatch count, which shrinks under the
+    // production tier's superinstructions. A host-side peephole pass must
+    // never change modelled GPU time.
+    let grid_size = costs.len();
     let mut ctx = crate::mcpu::EvalContext::new(engine, eval_func);
-    let mut best = (usize::MAX, f64::INFINITY);
     let mut kernel_instructions = 0u64;
     let base_stats = ctx.engine().stats();
-    for i in 0..grid_size {
+    for (i, cost) in costs.iter_mut().enumerate() {
         let before = ctx.engine().stats().instructions;
-        let cost = ctx.eval_decoded(i)?;
+        *cost = ctx.eval_decoded(i)?;
         kernel_instructions += ctx.engine().stats().instructions - before;
-        best = crate::mcpu::argmin_better(best, i, cost);
     }
     let avg_instructions = if grid_size == 0 {
         0.0
@@ -184,8 +182,6 @@ pub fn run_grid(
     // The kernel is memory-bound in the paper; the max() realizes that.
     let kernel_time_s = compute_time.max(memory_time);
     Ok(GpuRunReport {
-        best_index: best.0,
-        best_cost: best.1,
         evaluations: grid_size,
         occupancy,
         registers_wanted,
@@ -224,10 +220,12 @@ mod tests {
     #[test]
     fn functional_result_matches_cpu() {
         let (engine, fid) = kernel();
-        let gpu = run_grid(&engine, fid, 256, &GpuConfig::default()).unwrap();
-        let cpu = crate::mcpu::serial_argmin(&engine, fid, 256).unwrap();
-        assert_eq!(gpu.best_index, cpu.best_index);
-        assert_eq!(gpu.best_cost, cpu.best_cost);
+        let mut gpu = vec![0.0; 256];
+        run_grid(&engine, fid, &mut gpu, &GpuConfig::default()).unwrap();
+        let mut cpu = vec![0.0; 256];
+        crate::mcpu::grid_costs(&engine, fid, &mut cpu, 1).unwrap();
+        let bits = |c: &[f64]| c.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&gpu), bits(&cpu));
     }
 
     #[test]
@@ -237,7 +235,7 @@ mod tests {
         let mut occupancies = Vec::new();
         for regs in [256, 128, 64, 32, 16] {
             let cfg = GpuConfig::default().with_max_registers(regs);
-            let r = run_grid(&engine, fid, 1024, &cfg).unwrap();
+            let r = run_grid(&engine, fid, &mut [0.0; 1024], &cfg).unwrap();
             occupancies.push(r.occupancy);
             assert!(r.occupancy >= last_occupancy - 1e-12, "{occupancies:?}");
             last_occupancy = r.occupancy;
@@ -251,14 +249,14 @@ mod tests {
         let wide = run_grid(
             &engine,
             fid,
-            4096,
+            &mut [0.0; 4096],
             &GpuConfig::default().with_max_registers(256),
         )
         .unwrap();
         let narrow = run_grid(
             &engine,
             fid,
-            4096,
+            &mut [0.0; 4096],
             &GpuConfig::default().with_max_registers(16),
         )
         .unwrap();
@@ -272,8 +270,9 @@ mod tests {
     #[test]
     fn fp32_is_not_dramatically_faster_because_memory_bound() {
         let (engine, fid) = kernel();
-        let f64_run = run_grid(&engine, fid, 4096, &GpuConfig::default()).unwrap();
-        let f32_run = run_grid(&engine, fid, 4096, &GpuConfig::default().fp32()).unwrap();
+        let f64_run = run_grid(&engine, fid, &mut [0.0; 4096], &GpuConfig::default()).unwrap();
+        let f32_run =
+            run_grid(&engine, fid, &mut [0.0; 4096], &GpuConfig::default().fp32()).unwrap();
         let ratio = f64_run.kernel_time_s / f32_run.kernel_time_s;
         // fp32 has up to 32x the compute throughput but the paper observes
         // almost no speedup; our model keeps the ratio well under 2x.
@@ -284,8 +283,8 @@ mod tests {
     #[test]
     fn report_scales_with_grid_size() {
         let (engine, fid) = kernel();
-        let small = run_grid(&engine, fid, 128, &GpuConfig::default()).unwrap();
-        let large = run_grid(&engine, fid, 4096, &GpuConfig::default()).unwrap();
+        let small = run_grid(&engine, fid, &mut [0.0; 128], &GpuConfig::default()).unwrap();
+        let large = run_grid(&engine, fid, &mut [0.0; 4096], &GpuConfig::default()).unwrap();
         assert!(large.kernel_time_s > small.kernel_time_s);
         assert_eq!(large.evaluations, 4096);
     }

@@ -16,12 +16,16 @@
 //!   dispatch — selected per call by a [`TierPolicy`].
 //! * [`mcpu`] — the multicore grid-search backend of §3.6: the evaluation
 //!   space is split across OS threads, each thread works on its own copy of
-//!   the read-write state (here: its own copy of the engine memory), and the
-//!   per-thread argmin reservoirs are merged at the end.
+//!   the read-write state (here: its own copy of the engine memory), and
+//!   every evaluation's cost lands at its index in one cost window.
 //! * [`gpu`] — a simulated SIMT GPU (§6.3, Fig. 6): it executes the same
-//!   kernel per grid point and reports a modelled execution time from an
-//!   occupancy/register/local-memory cost model calibrated to the paper's
-//!   GTX 1060 observations (see DESIGN.md for the substitution rationale).
+//!   kernel per grid point into the same cost window and reports a modelled
+//!   execution time from an occupancy/register/local-memory cost model
+//!   calibrated to the paper's GTX 1060 observations.
+//!
+//! Both grid backends are phase 1 of a grid search only: they fill the cost
+//! window, and the driver folds it, in index order, through the one
+//! tie-breaking argmin (`ReservoirArgmin` in `distill-cogmodel`).
 
 pub mod backend;
 pub mod decode;
@@ -36,5 +40,5 @@ pub use backend::{ExecTier, Tier, TierCodeStats, TierPolicy};
 pub use engine::{Engine, EngineCtx, EngineStats, ExecConfig, ExecError, Value};
 pub use fuse::FuseSummary;
 pub use gpu::{GpuConfig, GpuRunReport};
-pub use mcpu::{parallel_argmin, serial_argmin, EvalContext, ParallelResult};
+pub use mcpu::{grid_costs, EvalContext, ParallelResult};
 pub use shard::{panic_message, ChunkQueue, GrabCount};

@@ -1,4 +1,10 @@
-//! The multicore grid-search backend (§3.6).
+//! The multicore grid-search backend (§3.6): phase 1 of a grid search.
+//!
+//! A grid search has two phases. Phase 1 evaluates every grid point into an
+//! index-addressed cost window; phase 2 folds that window, in index order,
+//! through the one tie-breaking argmin (`ReservoirArgmin` in
+//! `distill-cogmodel`), which the driver owns. This module implements phase
+//! 1 only, so no schedule here can pick a different winner.
 //!
 //! Distill extracts the exhaustive parameter evaluation of grid-search
 //! controllers and runs it on as many threads as there are cores. Each
@@ -7,7 +13,8 @@
 //! workers repeatedly grab the next chunk of grid indices until the grid is
 //! drained, so a skewed grid — evaluation cost varying wildly across
 //! parameter points, as in the Fig. 5c controllers — no longer serializes on
-//! the slowest statically-assigned chunk.
+//! the slowest statically-assigned chunk. At one thread the same drain runs
+//! inline on the caller's thread.
 //!
 //! Every worker owns an [`EvalContext`]: a clone of the engine (sharing the
 //! immutable module and predecoded code, copying only the mutable memory
@@ -16,28 +23,24 @@
 //! strategy of §3.6 without per-evaluation allocation. Per-evaluation PRNG
 //! streams are derived inside the kernel from the evaluation index, so the
 //! numbers drawn are identical regardless of which thread executes which
-//! point — the paper's reproducibility requirement — and therefore the
-//! argmin is deterministic under any schedule.
+//! point — the paper's reproducibility requirement — and therefore the cost
+//! window is bit-identical under any schedule.
 
 use crate::engine::{Engine, EngineStats, ExecError, Value};
 use crate::shard::{ChunkQueue, GrabCount};
 use distill_ir::FuncId;
 
-/// Result of a parallel argmin over the grid.
+/// What filling a grid's cost window reports.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ParallelResult {
-    /// Index of the winning grid point.
-    pub best_index: usize,
-    /// Its cost.
-    pub best_cost: f64,
     /// Number of evaluations performed.
     pub evaluations: usize,
     /// Number of worker threads used.
     pub threads: usize,
     /// Chunk grabs beyond each worker's first under the work-stealing
     /// scheduler — redistribution another worker could have absorbed. Zero
-    /// for the serial path and for single-worker runs
-    /// (a lone worker draining the queue is self-scheduling, not stealing).
+    /// for single-worker runs (a lone worker draining the queue is
+    /// self-scheduling, not stealing).
     pub steals: u64,
     /// Engine counters the evaluation contexts accumulated (summed across
     /// workers). Worker engines die with their threads, so the scheduler
@@ -46,30 +49,10 @@ pub struct ParallelResult {
     pub stats: EngineStats,
 }
 
-/// The argmin accumulator's initial state.
-const ARGMIN_INIT: (usize, f64) = (usize::MAX, f64::INFINITY);
-
-/// Fold one `(index, cost)` observation into an argmin accumulator.
-///
-/// Ties are broken towards the lowest index, which matches what the
-/// compiled single-thread driver does when its tie-breaking PRNG is
-/// disabled; the stochastic reservoir tie-break lives inside the whole-model
-/// trial function where determinism against the baseline matters. This one
-/// helper is shared by the serial path, every parallel worker, and the
-/// cross-worker reduction, so all schedules agree on the winner.
-#[inline]
-pub fn argmin_better(best: (usize, f64), index: usize, cost: f64) -> (usize, f64) {
-    if cost < best.1 || (cost == best.1 && index < best.0) {
-        (index, cost)
-    } else {
-        best
-    }
-}
-
 /// A pooled grid-evaluation context: one mutable engine copy (module and
 /// predecoded code shared with the template behind `Arc`) driving the
-/// compiled evaluation kernel. The serial path uses a single context; the
-/// parallel paths give one to each worker thread.
+/// compiled evaluation kernel. Each worker of [`grid_costs`] owns one, and
+/// so does the simulated GPU.
 pub struct EvalContext {
     engine: Engine,
     eval_func: FuncId,
@@ -97,7 +80,8 @@ impl EvalContext {
     /// Evaluate one grid point through the **unfused** decoded path. The
     /// simulated GPU uses this so its per-thread instruction counts
     /// approximate the kernel's architectural instruction stream rather
-    /// than the host interpreter's (fusion-dependent) dispatch count.
+    /// than the host interpreter's dispatch count, which depends on the
+    /// production tier's superinstructions.
     ///
     /// # Errors
     /// Same surface as [`EvalContext::eval`].
@@ -122,86 +106,90 @@ fn as_cost(result: Result<Value, ExecError>) -> Result<f64, ExecError> {
         .ok_or_else(|| ExecError::Type("evaluation kernel must return f64".into()))
 }
 
-fn empty_result(threads: usize) -> ParallelResult {
-    ParallelResult {
-        best_index: 0,
-        best_cost: f64::INFINITY,
-        evaluations: 0,
-        threads,
-        steals: 0,
-        stats: EngineStats::default(),
+/// One worker's share of a grid: the chunks it evaluated (first index and
+/// costs), its steal count and its engine-counter delta.
+type WorkerOut = (Vec<(usize, Vec<f64>)>, u64, EngineStats);
+
+/// Drain `queue` through one evaluation context.
+fn drain(mut ctx: EvalContext, queue: &ChunkQueue) -> Result<WorkerOut, ExecError> {
+    let mut chunks = Vec::new();
+    let mut grabs = GrabCount::default();
+    // The clone starts from the template's counters; only the delta is this
+    // worker's own work.
+    let base_stats = ctx.engine().stats();
+    while let Some(range) = queue.grab() {
+        grabs.record();
+        let lo = range.start;
+        let costs = range
+            .map(|i| ctx.eval(i))
+            .collect::<Result<Vec<f64>, _>>()?;
+        chunks.push((lo, costs));
     }
+    Ok((
+        chunks,
+        grabs.steals(),
+        ctx.engine().stats_since(&base_stats),
+    ))
 }
 
-/// Evaluate `eval_func(i)` for every `i in 0..grid_size` across `threads`
-/// workers pulling chunks from a shared work-stealing queue, and return the
-/// argmin of the returned costs.
+/// Phase 1 of a grid search: set `costs[i] = eval_func(i)` for every grid
+/// point `i in 0..costs.len()`, on `threads` workers pulling chunks from a
+/// shared work-stealing queue (inline on the caller's thread when one
+/// worker suffices). Choosing the winner is the caller's phase 2.
 ///
-/// The result is bit-identical to [`serial_argmin`] for any thread count and
-/// any schedule: costs depend only on the evaluation index, and both paths
-/// share the [`argmin_better`] tie-break.
+/// The window is bit-identical for any thread count and any schedule:
+/// costs depend only on the evaluation index, and the reduction scatters
+/// each chunk's costs back to their indices.
 ///
 /// # Errors
-/// Returns the first [`ExecError`] any worker encountered.
-pub fn parallel_argmin(
+/// Returns the first [`ExecError`] any worker encountered; a kernel not
+/// returning `f64` is [`ExecError::Type`].
+pub fn grid_costs(
     engine: &Engine,
     eval_func: FuncId,
-    grid_size: usize,
+    costs: &mut [f64],
     threads: usize,
 ) -> Result<ParallelResult, ExecError> {
+    let grid_size = costs.len();
     let threads = threads.max(1).min(grid_size.max(1));
-    if grid_size == 0 {
-        return Ok(empty_result(threads));
-    }
     // Chunked stealing through the shared [`ChunkQueue`]: coarse enough to
     // amortize the shared counter, fine enough (≥ 8 chunks per worker) that
     // one expensive tail region cannot serialize the sweep.
     let queue = ChunkQueue::balanced(grid_size, threads, 8, 1024);
-    type WorkerOut = ((usize, f64), u64, EngineStats);
-    let results: Vec<Result<WorkerOut, ExecError>> = std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for _ in 0..threads {
-            let queue = &queue;
-            // Thread-local copy of every read-write structure (§3.6).
-            let mut ctx = EvalContext::new(engine, eval_func);
-            handles.push(scope.spawn(move || {
-                let mut best = ARGMIN_INIT;
-                let mut grabs = GrabCount::default();
-                // The clone starts from the template's counters; only the
-                // delta is this worker's own work.
-                let base_stats = ctx.engine().stats();
-                while let Some(range) = queue.grab() {
-                    grabs.record();
-                    for i in range {
-                        best = argmin_better(best, i, ctx.eval(i)?);
-                    }
-                }
-                // Every grab beyond the worker's first is a steal from the
-                // shared queue. Worker engines die with their thread, so the
-                // count and the counter delta are returned for the
-                // reduction; drivers fold both into their template engine.
-                Ok((best, grabs.steals(), ctx.engine().stats_since(&base_stats)))
-            }));
-        }
-        handles
-            .into_iter()
-            .map(|h| {
-                h.join().unwrap_or_else(|p| {
-                    Err(ExecError::WorkerPanicked(crate::shard::panic_message(&*p)))
+    let results: Vec<Result<WorkerOut, ExecError>> = if threads == 1 {
+        vec![drain(EvalContext::new(engine, eval_func), &queue)]
+    } else {
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..threads)
+                .map(|_| {
+                    // Thread-local copy of every read-write structure (§3.6).
+                    let ctx = EvalContext::new(engine, eval_func);
+                    let queue = &queue;
+                    scope.spawn(move || drain(ctx, queue))
                 })
-            })
-            .collect()
-    });
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| {
+                    h.join().unwrap_or_else(|p| {
+                        Err(ExecError::WorkerPanicked(crate::shard::panic_message(&*p)))
+                    })
+                })
+                .collect()
+        })
+    };
 
-    let mut best = ARGMIN_INIT;
+    // Worker engines die with their threads, so steal counts and counter
+    // deltas come back with the costs; drivers fold both into their
+    // template engine.
     let mut steals = 0u64;
     let mut stats = EngineStats::default();
     for r in results {
-        let ((i, c), s, worker_stats) = r?;
+        let (chunks, s, worker_stats) = r?;
         steals += s;
         stats.add(&worker_stats);
-        if i != usize::MAX {
-            best = argmin_better(best, i, c);
+        for (lo, chunk) in chunks {
+            costs[lo..lo + chunk.len()].copy_from_slice(&chunk);
         }
     }
     // A lone worker draining the queue is self-scheduling, not stealing;
@@ -210,43 +198,10 @@ pub fn parallel_argmin(
         steals = 0;
     }
     Ok(ParallelResult {
-        best_index: best.0,
-        best_cost: best.1,
         evaluations: grid_size,
         threads,
         steals,
         stats,
-    })
-}
-
-/// Sequential reference implementation used to validate the parallel
-/// backends and to time the single-thread compiled path in Fig. 5c. Takes
-/// the template engine by shared reference and evaluates through a single
-/// pooled [`EvalContext`] — the same context type the parallel workers use.
-///
-/// # Errors
-/// Propagates the first [`ExecError`].
-pub fn serial_argmin(
-    engine: &Engine,
-    eval_func: FuncId,
-    grid_size: usize,
-) -> Result<ParallelResult, ExecError> {
-    if grid_size == 0 {
-        return Ok(empty_result(1));
-    }
-    let mut ctx = EvalContext::new(engine, eval_func);
-    let mut best = ARGMIN_INIT;
-    let base_stats = ctx.engine().stats();
-    for i in 0..grid_size {
-        best = argmin_better(best, i, ctx.eval(i)?);
-    }
-    Ok(ParallelResult {
-        best_index: best.0,
-        best_cost: best.1,
-        evaluations: grid_size,
-        threads: 1,
-        steals: 0,
-        stats: ctx.engine().stats_since(&base_stats),
     })
 }
 
@@ -274,33 +229,36 @@ mod tests {
         (Engine::new(m), fid)
     }
 
-    #[test]
-    fn parallel_matches_serial() {
-        let (engine, fid) = quadratic_kernel();
-        let serial = serial_argmin(&engine, fid, 100).unwrap();
-        for threads in [1, 2, 4, 7, 12] {
-            let par = parallel_argmin(&engine, fid, 100, threads).unwrap();
-            assert_eq!(par.best_index, serial.best_index, "threads={threads}");
-            assert_eq!(par.best_cost, serial.best_cost);
-            assert_eq!(par.evaluations, 100);
-        }
+    /// Fill a fresh window of `grid` costs on `threads` workers.
+    fn window(engine: &Engine, fid: FuncId, grid: usize, threads: usize) -> Vec<f64> {
+        let mut costs = vec![f64::NAN; grid];
+        let r = grid_costs(engine, fid, &mut costs, threads).unwrap();
+        assert_eq!(r.evaluations, grid);
+        costs
+    }
+
+    fn bits(costs: &[f64]) -> Vec<u64> {
+        costs.iter().map(|c| c.to_bits()).collect()
     }
 
     #[test]
-    fn finds_the_minimum() {
+    fn parallel_matches_serial() {
         let (engine, fid) = quadratic_kernel();
-        let r = parallel_argmin(&engine, fid, 100, 4).unwrap();
-        assert_eq!(r.best_index, 37);
-        assert_eq!(r.best_cost, 0.0);
+        let serial = window(&engine, fid, 100, 1);
+        let expected: Vec<f64> = (0..100).map(|i| (i as f64 - 37.0).powi(2)).collect();
+        assert_eq!(bits(&serial), bits(&expected));
+        for threads in [2, 4, 7, 12] {
+            let par = window(&engine, fid, 100, threads);
+            assert_eq!(bits(&par), bits(&serial), "threads={threads}");
+        }
     }
 
     #[test]
     fn empty_grid_is_handled() {
         let (engine, fid) = quadratic_kernel();
-        let r = parallel_argmin(&engine, fid, 0, 4).unwrap();
-        assert_eq!(r.evaluations, 0);
-        let r = serial_argmin(&engine, fid, 0).unwrap();
-        assert_eq!(r.evaluations, 0);
+        for threads in [1, 4] {
+            assert!(window(&engine, fid, 0, threads).is_empty());
+        }
     }
 
     #[test]
@@ -308,31 +266,27 @@ mod tests {
         // Grid much larger than threads * chunk: every worker must go back
         // to the queue, so grabs beyond the first are recorded as steals.
         let (engine, fid) = quadratic_kernel();
-        let r = parallel_argmin(&engine, fid, 500, 2).unwrap();
-        assert_eq!(r.best_index, 37);
+        let mut costs = vec![f64::NAN; 500];
+        let r = grid_costs(&engine, fid, &mut costs, 2).unwrap();
         assert!(r.steals > 0, "expected chunked re-grabs, got {r:?}");
+        assert_eq!(bits(&costs), bits(&window(&engine, fid, 500, 1)));
     }
 
     #[test]
-    fn ties_break_towards_the_lowest_index() {
-        // cost(i) = 0 everywhere: index 0 must win under every scheduler.
+    fn a_kernel_without_a_cost_is_a_type_error() {
         let mut m = Module::new("m");
-        let fid = m.declare_function("flat", vec![Ty::I64], Ty::F64);
+        let fid = m.declare_function("void", vec![Ty::I64], Ty::Void);
         {
             let f = m.function_mut(fid);
             let mut b = FunctionBuilder::new(f);
             let e = b.create_block("entry");
             b.switch_to_block(e);
-            let z = b.const_f64(0.0);
-            b.ret(Some(z));
+            b.ret(None);
         }
         let engine = Engine::new(m);
-        assert_eq!(serial_argmin(&engine, fid, 64).unwrap().best_index, 0);
-        for threads in [2, 4, 8] {
-            assert_eq!(
-                parallel_argmin(&engine, fid, 64, threads).unwrap().best_index,
-                0
-            );
+        for threads in [1, 2] {
+            let err = grid_costs(&engine, fid, &mut [0.0; 8], threads).unwrap_err();
+            assert!(matches!(err, ExecError::Type(_)), "{err:?}");
         }
     }
 
@@ -357,7 +311,7 @@ mod tests {
             b.ret(Some(v));
         }
         let engine = Engine::new(m);
-        parallel_argmin(&engine, fid, 64, 8).unwrap();
+        window(&engine, fid, 64, 8);
         assert_eq!(engine.read_global_f64("scratch").unwrap(), vec![0.0]);
     }
 }

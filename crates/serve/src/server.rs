@@ -4,8 +4,8 @@
 //! # Scheduling model
 //!
 //! Each model family a client touches gets a **lane**: the family's cached
-//! artifact, its flattened per-trial inputs, a template [`Engine`] and a
-//! FIFO of pending request segments. Requests allocate *contiguous ranges
+//! artifact, its flattened per-trial inputs, a template [`ChunkExecutor`]
+//! and a FIFO of pending request segments. Requests allocate *contiguous ranges
 //! of the lane's shared trial space* — request `i` asking for `n` trials
 //! gets `[cursor, cursor + n)` and advances the cursor — so two back-to-back
 //! requests to the same family are, by construction, one contiguous range of

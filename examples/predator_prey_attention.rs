@@ -38,11 +38,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let parallel = mcpu.run(&RunSpec::new(workload.inputs.clone(), 1))?;
     let stats = parallel.grid.expect("multicore target reports grid stats");
     println!(
-        "full trial, grid search on {threads} threads: {:?} (best allocation index {} cost {:.3})",
+        "full trial, grid search on {threads} threads: {:?} ({} evaluations, {} steals)",
         t.elapsed(),
-        stats.best_index,
-        stats.best_cost
+        stats.evaluations,
+        stats.steals
     );
+    println!("actions + objective: {:?}", parallel.outputs);
 
     let mut gpu_runner = session
         .target(Target::Gpu(GpuConfig::default()))

@@ -13,13 +13,13 @@
 //! extend the coverage.
 //!
 //! Targeted edge cases cover phi edges, terminators, frame-pool reuse,
-//! per-node artifacts, O0/O3 IR shapes, and the work-stealing grid scheduler
-//! against the serial path on a seeded skewed-cost grid.
+//! per-node artifacts, O0/O3 IR shapes, and the cost windows of the
+//! work-stealing grid scheduler and the simulated GPU against the serial
+//! path on a seeded skewed-cost grid.
 
 use distill::{
-    compile, global_names as gn, parallel_argmin, serial_argmin, CompileConfig, CompileMode,
-    CompiledModel, Engine, ExecConfig, ExecError, OptLevel, RunSpec, Session, Tier, TierPolicy,
-    Value,
+    compile, global_names as gn, grid_costs, CompileConfig, CompileMode, CompiledModel, Engine,
+    ExecConfig, ExecError, GpuConfig, OptLevel, RunSpec, Session, Tier, TierPolicy, Value,
 };
 use distill_ir::{BinOp, CmpPred, FunctionBuilder, Module, Terminator, Ty};
 use distill_models::{
@@ -610,18 +610,26 @@ fn sessions_match_on_every_fixed_tier() {
 
 #[test]
 fn work_stealing_matches_serial_on_seeded_skewed_grids() {
+    let bits = |c: &[f64]| c.iter().map(|v| v.to_bits()).collect::<Vec<u64>>();
     for seed in [987_654_321i64, 42, -7_777_777] {
         let (engine, fid) = seeded_skew_kernel(seed);
         let grid = 257; // deliberately not a multiple of any thread count
-        let serial = serial_argmin(&engine, fid, grid).unwrap();
-        for threads in [1usize, 2, 4, 8] {
-            let steal = parallel_argmin(&engine, fid, grid, threads).unwrap();
+        let mut serial = vec![f64::NAN; grid];
+        grid_costs(&engine, fid, &mut serial, 1).unwrap();
+        for threads in [2usize, 4, 8] {
+            let mut window = vec![f64::NAN; grid];
+            let steal = grid_costs(&engine, fid, &mut window, threads).unwrap();
             assert_eq!(
-                steal.best_index, serial.best_index,
+                bits(&window),
+                bits(&serial),
                 "stealing, seed {seed}, threads {threads}"
             );
-            assert_eq!(steal.best_cost.to_bits(), serial.best_cost.to_bits());
             assert_eq!(steal.evaluations, grid);
         }
+        let mut window = vec![f64::NAN; grid];
+        let gpu =
+            distill_exec::gpu::run_grid(&engine, fid, &mut window, &GpuConfig::default()).unwrap();
+        assert_eq!(bits(&window), bits(&serial), "gpu, seed {seed}");
+        assert_eq!(gpu.evaluations, grid);
     }
 }

@@ -50,8 +50,9 @@ fn baseline_interpreter_matches_reference_engine_on_predator_prey() {
         let expected = &baseline.outputs[trial];
         assert_eq!(expected.len(), out_len, "trial {trial}: output arity");
         for (i, (b, c)) in expected.iter().zip(&out[..out_len]).enumerate() {
-            assert!(
-                (b - c).abs() <= 1e-9 * (1.0 + b.abs().max(c.abs())),
+            assert_eq!(
+                b.to_bits(),
+                c.to_bits(),
                 "trial {trial}, element {i}: baseline {b} vs reference-compiled {c}"
             );
         }
