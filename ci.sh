@@ -12,8 +12,8 @@ export CARGO_NET_OFFLINE=true
 echo "== build (release)"
 cargo build --release --workspace
 
-echo "== clippy (warnings denied)"
-cargo clippy --workspace -- -D warnings
+echo "== clippy (warnings denied, tests, benches and examples included)"
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== test"
 cargo test -q --workspace

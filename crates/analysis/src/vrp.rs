@@ -865,7 +865,7 @@ mod tests {
 
         #[test]
         fn add_is_sound() {
-            let mut rng = Lcg::new(0xD157111_ADD);
+            let mut rng = Lcg::new(0xD1_5711_1ADD);
             for _ in 0..CASES {
                 let a = rng.small_interval();
                 let b = rng.small_interval();
@@ -877,7 +877,7 @@ mod tests {
 
         #[test]
         fn mul_is_sound() {
-            let mut rng = Lcg::new(0xD157111_213);
+            let mut rng = Lcg::new(0xD1_5711_1213);
             for _ in 0..CASES {
                 let a = rng.small_interval();
                 let b = rng.small_interval();
@@ -893,7 +893,7 @@ mod tests {
 
         #[test]
         fn union_contains_both() {
-            let mut rng = Lcg::new(0xD157111_071);
+            let mut rng = Lcg::new(0xD1_5711_1071);
             for _ in 0..CASES {
                 let a = rng.small_interval();
                 let b = rng.small_interval();
@@ -906,7 +906,7 @@ mod tests {
 
         #[test]
         fn exp_is_sound() {
-            let mut rng = Lcg::new(0xD157111_3E9);
+            let mut rng = Lcg::new(0xD1_5711_13E9);
             for _ in 0..CASES {
                 let a = rng.small_interval();
                 let x = rng.point_in(&a);

@@ -5,9 +5,7 @@ use criterion::Criterion;
 
 fn bench(c: &mut Criterion) {
     let mut g = c.benchmark_group("fig2_mesh_refinement");
-    g.bench_function("mesh_refine_7_rounds", |b| {
-        b.iter(|| distill_bench::fig2())
-    });
+    g.bench_function("mesh_refine_7_rounds", |b| b.iter(distill_bench::fig2));
     g.finish();
 }
 

@@ -753,6 +753,6 @@ mod tests {
         let text = r.render();
         assert!(text.contains("fp32"));
         assert!(text.contains("fp64"));
-        assert_eq!(text.matches('\n').count() >= 12, true);
+        assert!(text.matches('\n').count() >= 12);
     }
 }

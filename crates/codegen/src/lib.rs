@@ -1514,8 +1514,10 @@ mod tests {
 
     #[test]
     fn stage_batch_cycles_inputs_and_zero_fills_without_them() {
-        let mut layout = Layout::default();
-        layout.ext_len = 2;
+        let layout = Layout {
+            ext_len: 2,
+            ..Layout::default()
+        };
         let flats = vec![vec![1.0, 2.0], vec![3.0, 4.0], vec![5.0, 6.0]];
         assert_eq!(layout.stage_batch(&flats, 2, 2), [5.0, 6.0, 1.0, 2.0]);
         // A reused buffer holds exactly the latest window.

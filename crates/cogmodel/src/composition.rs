@@ -476,6 +476,6 @@ mod tests {
         c.connect(b, 0, d, 0, 1);
         let inc = c.incoming();
         assert_eq!(inc[&(d, 0)].len(), 2);
-        assert!(inc.get(&(a, 0)).is_none());
+        assert!(!inc.contains_key(&(a, 0)));
     }
 }

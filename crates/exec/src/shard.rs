@@ -125,7 +125,7 @@ mod tests {
     #[test]
     fn drains_the_whole_range_exactly_once() {
         let q = ChunkQueue::new(103, 10);
-        let mut seen = vec![false; 103];
+        let mut seen = [false; 103];
         while let Some(r) = q.grab() {
             for i in r {
                 assert!(!seen[i], "index {i} handed out twice");
@@ -178,10 +178,10 @@ mod tests {
     #[test]
     fn range_queue_drains_exactly_the_window() {
         let q = ChunkQueue::over(40..103, 10);
-        let mut seen = vec![false; 103];
+        let mut seen = [false; 103];
         while let Some(r) = q.grab() {
             for i in r {
-                assert!(i >= 40 && i < 103, "index {i} outside the lease window");
+                assert!((40..103).contains(&i), "index {i} outside the lease window");
                 assert!(!seen[i], "index {i} handed out twice");
                 seen[i] = true;
             }
@@ -191,6 +191,7 @@ mod tests {
     }
 
     #[test]
+    #[allow(clippy::reversed_empty_ranges)] // the inverted window is the case under test
     fn empty_and_inverted_windows_grab_nothing() {
         assert!(ChunkQueue::over(7..7, 4).grab().is_none());
         assert!(ChunkQueue::over(9..3, 4).grab().is_none());

@@ -68,18 +68,24 @@ impl Constant {
         }
     }
 
+    /// The constant's kind tag and bit pattern. Two constants have equal
+    /// bits exactly when they are [`bit_eq`](Constant::bit_eq), and the
+    /// pair hashes, so a pass can index a function's constants by it.
+    pub fn bits(&self) -> (u8, u64) {
+        match *self {
+            Constant::F64(v) => (0, v.to_bits()),
+            Constant::F32(v) => (1, u64::from(v.to_bits())),
+            Constant::I64(v) => (2, v as u64),
+            Constant::Bool(b) => (3, u64::from(b)),
+            Constant::Undef => (4, 0),
+        }
+    }
+
     /// Structural equality suitable for interning: compares float constants
     /// bit-for-bit so that `0.0` and `-0.0` (and different NaN payloads)
     /// remain distinct constants.
     pub fn bit_eq(&self, other: &Constant) -> bool {
-        match (self, other) {
-            (Constant::F64(a), Constant::F64(b)) => a.to_bits() == b.to_bits(),
-            (Constant::F32(a), Constant::F32(b)) => a.to_bits() == b.to_bits(),
-            (Constant::I64(a), Constant::I64(b)) => a == b,
-            (Constant::Bool(a), Constant::Bool(b)) => a == b,
-            (Constant::Undef, Constant::Undef) => true,
-            _ => false,
-        }
+        self.bits() == other.bits()
     }
 }
 

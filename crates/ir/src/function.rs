@@ -74,6 +74,51 @@ pub struct ValueData {
     pub name: Option<String>,
 }
 
+/// A batch of `from → to` value replacements, recorded while a pass walks a
+/// function and applied in one sweep by [`Function::replace_uses`].
+///
+/// A target is resolved through the entries recorded before it, and
+/// [`resolve`](Replacements::resolve) follows the ones recorded after, so
+/// the batch leaves the function as replacing each value eagerly, in order,
+/// would have.
+#[derive(Debug, Clone, Default)]
+pub struct Replacements {
+    /// Indexed by value: its replacement, or itself.
+    to: Vec<ValueId>,
+}
+
+impl Replacements {
+    /// Record that every use of `from` becomes a use of `to`. The first
+    /// replacement of a value wins, as it does eagerly (a second one finds
+    /// no uses left), and replacing a value by itself is a no-op.
+    pub fn insert(&mut self, from: ValueId, to: ValueId) {
+        let to = self.resolve(to);
+        if to != from && !self.contains(from) {
+            let n = self.to.len();
+            self.to.extend((n..=from.index()).map(ValueId::from_index));
+            self.to[from.index()] = to;
+        }
+    }
+
+    /// The value `v` stands for once the batch is applied.
+    pub fn resolve(&self, mut v: ValueId) -> ValueId {
+        while let Some(&to) = self.to.get(v.index()).filter(|&&to| to != v) {
+            v = to;
+        }
+        v
+    }
+
+    /// Whether `v` is replaced by the batch.
+    pub fn contains(&self, v: ValueId) -> bool {
+        self.resolve(v) != v
+    }
+
+    /// Whether the batch replaces nothing.
+    pub fn is_empty(&self) -> bool {
+        self.to.is_empty()
+    }
+}
+
 /// A basic block terminator.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Terminator {
@@ -309,31 +354,53 @@ impl Function {
             .sum()
     }
 
-    /// Replace every use of `from` with `to`, in instructions and
-    /// terminators. The definition of `from` is left in place (a later DCE
-    /// removes it if dead).
-    pub fn replace_all_uses(&mut self, from: ValueId, to: ValueId) {
-        let nvalues = self.values.len();
-        for i in 0..nvalues {
-            let id = ValueId::from_index(i);
-            if let ValueKind::Inst(inst) = &mut self.values[i].kind {
-                inst.map_operands(|v| if v == from { to } else { v });
-            }
-            let _ = id;
+    /// Apply a batch of replacements: every use of a replaced value, in
+    /// instructions (scheduled or not) and terminators, becomes a use of
+    /// what it resolves to, in one sweep. Definitions stay in place (a later
+    /// DCE removes them if dead).
+    pub fn replace_uses(&mut self, repl: &Replacements) {
+        if repl.is_empty() {
+            return;
         }
-        for blk in &mut self.blocks {
-            if let Some(term) = &mut blk.term {
-                term.map_operands(|v| if v == from { to } else { v });
+        for value in &mut self.values {
+            if let ValueKind::Inst(inst) = &mut value.kind {
+                inst.map_operands(|v| repl.resolve(v));
             }
+        }
+        for term in self.blocks.iter_mut().filter_map(|b| b.term.as_mut()) {
+            term.map_operands(|v| repl.resolve(v));
+        }
+    }
+
+    /// Replace every use of `from` with `to`: a one-entry [`replace_uses`].
+    ///
+    /// [`replace_uses`]: Function::replace_uses
+    pub fn replace_all_uses(&mut self, from: ValueId, to: ValueId) {
+        let mut repl = Replacements::default();
+        repl.insert(from, to);
+        self.replace_uses(&repl);
+    }
+
+    /// Rewrite the operands of instruction `id` through a batch not applied
+    /// yet, so a pass sees it as eager replacement would have left it.
+    pub fn resolve_operands(&mut self, id: ValueId, repl: &Replacements) {
+        if let Some(inst) = self.as_inst_mut(id).filter(|_| !repl.is_empty()) {
+            inst.map_operands(|v| repl.resolve(v));
+        }
+    }
+
+    /// Remove every instruction id for which `dead` holds from the block
+    /// that schedules it: one `retain` per block, however many ids go.
+    pub fn unschedule_if(&mut self, mut dead: impl FnMut(ValueId) -> bool) {
+        for blk in &mut self.blocks {
+            blk.insts.retain(|&v| !dead(v));
         }
     }
 
     /// Remove an instruction id from whichever block contains it (the value
     /// stays in the arena but is no longer scheduled).
     pub fn unschedule(&mut self, id: ValueId) {
-        for blk in &mut self.blocks {
-            blk.insts.retain(|v| *v != id);
-        }
+        self.unschedule_if(|v| v == id);
     }
 
     /// Number of values in the SSA arena (register-file size for execution).
@@ -360,11 +427,6 @@ impl Function {
             }
         }
         preds
-    }
-
-    /// Find the block that schedules `id`, if any.
-    pub fn defining_block(&self, id: ValueId) -> Option<BlockId> {
-        self.block_order().find(|&b| self.block(b).insts.contains(&id))
     }
 }
 
@@ -421,6 +483,104 @@ mod tests {
         assert_eq!(f.block(entry).term, Some(Terminator::Ret(Some(k))));
     }
 
+    /// `a = x+y; b = x+y; dead = b*b (unscheduled); c = b > x; condbr c`,
+    /// two arms into a join whose phi takes `b` and `a`, `ret b`.
+    fn diamond() -> (Function, [ValueId; 5], [BlockId; 3]) {
+        let mut f = Function::new("f", vec![Ty::F64, Ty::F64], Ty::F64);
+        let mut b = crate::FunctionBuilder::new(&mut f);
+        let entry = b.create_block("entry");
+        let left = b.create_block("left");
+        let right = b.create_block("right");
+        let join = b.create_block("join");
+        b.switch_to_block(entry);
+        let (x, y) = (b.param(0), b.param(1));
+        let a = b.fadd(x, y);
+        let bb = b.fadd(x, y);
+        let dead = b.fmul(bb, bb);
+        let c = b.cmp(crate::CmpPred::FGt, bb, x);
+        b.cond_br(c, left, right);
+        b.switch_to_block(left);
+        b.br(join);
+        b.switch_to_block(right);
+        b.br(join);
+        b.switch_to_block(join);
+        let p = b.phi(Ty::F64, vec![(left, bb), (right, a)]);
+        b.ret(Some(bb));
+        f.unschedule(dead);
+        (f, [a, bb, dead, c, p], [left, right, join])
+    }
+
+    #[test]
+    fn batched_replacement_rewrites_phis_terminators_and_unscheduled_values() {
+        let (mut f, [a, b, dead, c, p], [left, right, join]) = diamond();
+        let mut eager = f.clone();
+        let mut repl = Replacements::default();
+        repl.insert(b, a);
+        f.replace_uses(&repl);
+
+        let incoming = |f: &Function| match f.as_inst(p) {
+            Some(Inst::Phi { incoming, .. }) => incoming.clone(),
+            other => panic!("not a phi: {other:?}"),
+        };
+        assert_eq!(incoming(&f), vec![(left, a), (right, a)]);
+        assert_eq!(f.block(join).term, Some(Terminator::Ret(Some(a))));
+        let ops = |f: &Function, v| f.as_inst(v).unwrap().operands();
+        assert_eq!(ops(&f, c), vec![a, ValueId::from_index(0)]);
+        // Unscheduled instructions are rewritten too, as the eager sweep does.
+        assert_eq!(ops(&f, dead), vec![a, a]);
+        // The replaced definition stays; the target is not itself replaced.
+        assert_eq!(ops(&f, b), ops(&f, a));
+        assert!(!repl.contains(a));
+
+        eager.replace_all_uses(b, a);
+        assert_eq!(f, eager);
+    }
+
+    #[test]
+    fn batched_replacement_equals_eager_replacement_in_recorded_order() {
+        let (mut f, [a, b, dead, c, _], _) = diamond();
+        let mut eager = f.clone();
+        // `c → dead`, then `dead → a`: a chain. Then `b → c`, whose target
+        // is resolved when recorded.
+        let steps = [(c, dead), (dead, a), (b, c)];
+        let mut repl = Replacements::default();
+        for (from, to) in steps {
+            // An eager pass reads its target from the IR, where a replaced
+            // value no longer appears: it names what `to` became.
+            eager.replace_all_uses(from, repl.resolve(to));
+            repl.insert(from, to);
+        }
+        assert_eq!(
+            [repl.resolve(c), repl.resolve(dead), repl.resolve(b)],
+            [a, a, a]
+        );
+        f.replace_uses(&repl);
+        assert_eq!(f, eager);
+    }
+
+    #[test]
+    fn replacements_keep_the_first_entry_and_ignore_self_replacement() {
+        let v = ValueId::from_index;
+        let mut repl = Replacements::default();
+        repl.insert(v(1), v(2));
+        repl.insert(v(1), v(3));
+        repl.insert(v(4), v(4));
+        repl.insert(v(2), v(1));
+        assert_eq!(repl.resolve(v(1)), v(2));
+        assert!(!repl.contains(v(4)));
+        assert!(!repl.contains(v(2)));
+        assert_eq!(repl.resolve(v(9)), v(9));
+    }
+
+    #[test]
+    fn unschedule_if_removes_a_whole_set_in_one_sweep() {
+        let (mut f, [a, b, _, c, p], [_, _, join]) = diamond();
+        let entry = f.entry_block().unwrap();
+        f.unschedule_if(|v| v == a || v == p);
+        assert_eq!(f.block(entry).insts, vec![b, c]);
+        assert!(f.block(join).insts.is_empty());
+    }
+
     #[test]
     fn unschedule_removes_from_block() {
         let mut f = sample_function();
@@ -429,7 +589,7 @@ mod tests {
         assert_eq!(f.inst_count(), 1);
         f.unschedule(sum);
         assert_eq!(f.inst_count(), 0);
-        assert_eq!(f.defining_block(sum), None);
+        assert!(f.blocks.iter().all(|b| !b.insts.contains(&sum)));
     }
 
     #[test]

@@ -474,12 +474,11 @@ impl Inst {
         }
     }
 
-    /// Rewrite every operand through `f` (used by inlining and by passes that
-    /// replace values).
-    // Inlined into `Function::replace_all_uses`, which calls it once per
-    // arena value and is the hottest loop of a cold build. Out of line, its
-    // speed swung by a third with code placement alone (benchmark
-    // `cold_build`, 49 vs 78 trials/s for two layouts of identical code).
+    /// Rewrite every operand through `f` (used by inlining and by
+    /// [`Function::replace_uses`](crate::Function::replace_uses), the one
+    /// sweep over the arena that applies a pass's batch of replacements).
+    // Out of line, this once swung `cold_build` by a third with code
+    // placement alone, when every replacement swept the whole arena.
     #[inline]
     pub fn map_operands(&mut self, mut f: impl FnMut(ValueId) -> ValueId) {
         match self {

@@ -61,7 +61,9 @@ pub mod verify;
 
 pub use builder::FunctionBuilder;
 pub use constant::Constant;
-pub use function::{BlockData, BlockId, Function, Terminator, ValueData, ValueId, ValueKind};
+pub use function::{
+    BlockData, BlockId, Function, Replacements, Terminator, ValueData, ValueId, ValueKind,
+};
 pub use inst::{BinOp, CastKind, CmpPred, GepIndex, Inst, Intrinsic, UnOp};
 pub use module::{FuncId, Global, GlobalId, Module};
 pub use types::Ty;

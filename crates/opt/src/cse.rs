@@ -8,8 +8,8 @@
 //! handles for the read-only parameter case.
 
 use distill_ir::cfg::{Cfg, DomTree};
-use distill_ir::{BinOp, Function, Inst, Module, ValueId};
-use std::collections::HashMap;
+use distill_ir::{BinOp, Function, Inst, Module, Replacements, ValueId};
+use std::collections::hash_map::{Entry, HashMap};
 
 /// Key identifying a pure computation up to operand order for commutative
 /// binary operations.
@@ -22,7 +22,7 @@ enum ExprKey {
     Intrinsic(distill_ir::Intrinsic, Vec<ValueId>),
     Gep(ValueId, Vec<GepKey>),
     GlobalAddr(usize),
-    Cast(distill_ir::CastKind, ValueId, String),
+    Cast(distill_ir::CastKind, ValueId, distill_ir::Ty),
 }
 
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -62,7 +62,7 @@ fn key_of(inst: &Inst) -> Option<ExprKey> {
                 .collect(),
         )),
         Inst::GlobalAddr { global } => Some(ExprKey::GlobalAddr(global.index())),
-        Inst::Cast { kind, val, to } => Some(ExprKey::Cast(*kind, *val, to.to_string())),
+        Inst::Cast { kind, val, to } => Some(ExprKey::Cast(*kind, *val, to.clone())),
         _ => None,
     }
 }
@@ -86,44 +86,42 @@ pub fn run_function(func: &mut Function) -> usize {
 
     let mut replaced = 0;
     let entry = func.entry_block().unwrap();
+    // Replacements are recorded as the walk goes and applied once at the
+    // end. An instruction's operands are resolved before it is keyed, so it
+    // keys as it would with each replacement applied eagerly.
+    let mut repl = Replacements::default();
 
     // Pre-order DFS over the dominator tree with a scoped table implemented
-    // as an undo log.
+    // as an undo log of the keys each block inserted.
     let mut table: HashMap<ExprKey, ValueId> = HashMap::new();
     let mut stack: Vec<(distill_ir::BlockId, bool)> = vec![(entry, false)];
-    let mut scopes: Vec<Vec<(ExprKey, Option<ValueId>)>> = Vec::new();
+    let mut scopes: Vec<Vec<ExprKey>> = Vec::new();
 
     while let Some((block, processed)) = stack.pop() {
         if processed {
             // Leaving the block's dominator subtree: undo its insertions.
-            if let Some(undo) = scopes.pop() {
-                for (key, prev) in undo.into_iter().rev() {
-                    match prev {
-                        Some(v) => {
-                            table.insert(key, v);
-                        }
-                        None => {
-                            table.remove(&key);
-                        }
-                    }
-                }
+            for key in scopes.pop().unwrap_or_default() {
+                table.remove(&key);
             }
             continue;
         }
         stack.push((block, true));
-        let mut undo: Vec<(ExprKey, Option<ValueId>)> = Vec::new();
+        let mut undo: Vec<ExprKey> = Vec::new();
 
-        let insts = func.block(block).insts.clone();
-        for v in insts {
+        for i in 0..func.block(block).insts.len() {
+            let v = func.block(block).insts[i];
+            func.resolve_operands(v, &repl);
             let Some(inst) = func.as_inst(v) else { continue };
             let Some(key) = key_of(inst) else { continue };
-            if let Some(&existing) = table.get(&key) {
-                func.replace_all_uses(v, existing);
-                func.unschedule(v);
-                replaced += 1;
-            } else {
-                undo.push((key.clone(), table.get(&key).copied()));
-                table.insert(key, v);
+            match table.entry(key) {
+                Entry::Occupied(existing) => {
+                    repl.insert(v, *existing.get());
+                    replaced += 1;
+                }
+                Entry::Vacant(slot) => {
+                    undo.push(slot.key().clone());
+                    slot.insert(v);
+                }
             }
         }
         scopes.push(undo);
@@ -131,6 +129,8 @@ pub fn run_function(func: &mut Function) -> usize {
             stack.push((c, false));
         }
     }
+    func.replace_uses(&repl);
+    func.unschedule_if(|v| repl.contains(v));
     replaced
 }
 
@@ -169,6 +169,37 @@ mod tests {
         let replaced = run(&mut m);
         assert_eq!(replaced, 1);
         assert_eq!(m.function(fid).inst_count(), 2);
+    }
+
+    #[test]
+    fn a_replaced_value_feeding_a_later_candidate_is_resolved_before_keying() {
+        let mut m = Module::new("m");
+        let fid = m.declare_function("f", vec![Ty::F64, Ty::F64], Ty::F64);
+        {
+            let f = m.function_mut(fid);
+            let mut b = FunctionBuilder::new(f);
+            let e = b.create_block("entry");
+            b.switch_to_block(e);
+            let (x, y) = (b.param(0), b.param(1));
+            let two = b.const_f64(2.0);
+            let a = b.fadd(x, y);
+            let bb = b.fadd(x, y);
+            let c = b.fmul(a, two);
+            let d = b.fmul(bb, two); // `b*2` keys as `a*2` once `b → a`
+            let r = b.fsub(c, d);
+            b.ret(Some(r));
+        }
+        assert_eq!(run(&mut m), 2);
+        let f = m.function(fid);
+        assert_eq!(f.inst_count(), 3);
+        distill_ir::verify::verify_module(&m).unwrap();
+        let entry = f.entry_block().unwrap();
+        let (a, c) = (f.block(entry).insts[0], f.block(entry).insts[1]);
+        assert_eq!(
+            f.as_inst(f.block(entry).insts[2]).unwrap().operands(),
+            vec![c, c]
+        );
+        assert_eq!(f.as_inst(c).unwrap().operands()[0], a);
     }
 
     #[test]

@@ -4,52 +4,54 @@
 //! have no side effects. Run repeatedly (chains of dead instructions die one
 //! layer per iteration of the internal fixpoint loop).
 
-use distill_ir::{Function, Module, ValueId, ValueKind};
-use std::collections::HashSet;
+use distill_ir::{Function, Module, ValueKind};
 
 /// Remove dead instructions from one function; returns how many were removed.
 pub fn run_function(func: &mut Function) -> usize {
     let mut removed = 0;
     loop {
-        // Collect all used value ids (operands of scheduled instructions and
+        // Mark all used value ids (operands of scheduled instructions and
         // terminators).
-        let mut used: HashSet<ValueId> = HashSet::new();
-        for b in func.block_order().collect::<Vec<_>>() {
+        let mut used = vec![false; func.values.len()];
+        for b in func.block_order() {
             let blk = func.block(b);
             for &v in &blk.insts {
                 if let Some(inst) = func.as_inst(v) {
                     for op in inst.operands() {
-                        used.insert(op);
+                        used[op.index()] = true;
                     }
                 }
             }
             if let Some(term) = &blk.term {
                 for op in term.operands() {
-                    used.insert(op);
+                    used[op.index()] = true;
                 }
             }
         }
 
-        // Unschedule instructions that are unused and effect-free.
-        let mut dead: Vec<ValueId> = Vec::new();
-        for b in func.block_order().collect::<Vec<_>>() {
+        // Unschedule instructions that are unused and effect-free, all in
+        // one sweep.
+        let mut dead = vec![false; func.values.len()];
+        let mut ndead = 0;
+        for b in func.block_order() {
             for &v in &func.block(b).insts {
-                if used.contains(&v) {
+                if used[v.index()] {
                     continue;
                 }
                 match &func.value(v).kind {
-                    ValueKind::Inst(inst) if !inst.has_side_effects() => dead.push(v),
+                    ValueKind::Inst(inst) if !inst.has_side_effects() => {
+                        dead[v.index()] = true;
+                        ndead += 1;
+                    }
                     _ => {}
                 }
             }
         }
-        if dead.is_empty() {
+        if ndead == 0 {
             break;
         }
-        for v in &dead {
-            func.unschedule(*v);
-        }
-        removed += dead.len();
+        func.unschedule_if(|v| dead[v.index()]);
+        removed += ndead;
     }
     removed
 }

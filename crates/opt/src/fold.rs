@@ -6,38 +6,40 @@
 //! effect the paper attributes to "standard optimizations on LLVM IR"
 //! becoming possible once dynamic structures are gone (§3.5).
 
-use distill_ir::{BinOp, CastKind, CmpPred, Constant, Function, Inst, Intrinsic, Module, UnOp, ValueId};
+use distill_ir::{
+    BinOp, CastKind, CmpPred, Constant, Function, Inst, Intrinsic, Module, Replacements, UnOp,
+    ValueId,
+};
 
 /// Fold constants in a single function. Returns the number of instructions
 /// replaced by constants or simplified operands.
 pub fn run_function(func: &mut Function) -> usize {
     let mut changes = 0;
     loop {
-        let mut round = 0;
+        // A round records its replacements and applies them at its end; an
+        // instruction's operands are resolved before it is folded.
+        let mut repl = Replacements::default();
         let block_ids: Vec<_> = func.block_order().collect();
         for b in block_ids {
             let insts = func.block(b).insts.clone();
             for v in insts {
-                if let Some(replacement) = try_fold(func, v) {
-                    match replacement {
-                        Folded::Const(c) => {
-                            let k = func.add_constant(c);
-                            func.replace_all_uses(v, k);
-                            func.unschedule(v);
-                        }
-                        Folded::Value(other) => {
-                            func.replace_all_uses(v, other);
-                            func.unschedule(v);
-                        }
+                func.resolve_operands(v, &repl);
+                match try_fold(func, v) {
+                    Some(Folded::Const(c)) => {
+                        let k = func.add_constant(c);
+                        repl.insert(v, k);
                     }
-                    round += 1;
+                    Some(Folded::Value(other)) => repl.insert(v, other),
+                    None => continue,
                 }
+                changes += 1;
             }
         }
-        changes += round;
-        if round == 0 {
+        if repl.is_empty() {
             break;
         }
+        func.replace_uses(&repl);
+        func.unschedule_if(|v| repl.contains(v));
     }
     changes
 }

@@ -13,6 +13,7 @@ use distill_ir::{
     ValueKind,
 };
 use std::collections::HashMap;
+use std::ops::Range;
 
 /// Inlining thresholds and limits.
 #[derive(Debug, Clone, Copy)]
@@ -44,26 +45,38 @@ pub fn run(module: &mut Module) -> usize {
 
 /// Inline with explicit options.
 pub fn run_with_options(module: &mut Module, opts: InlineOptions) -> usize {
-    let mut inlined = 0;
-    while let Some((caller, call_value)) = find_inlinable_call(module, &opts) {
-        inline_call(module, caller, call_value);
-        inlined += 1;
-        if inlined >= opts.max_inlined_calls {
-            break;
-        }
-    }
-    inlined
+    inline_calls(module, 0..module.functions.len(), opts)
 }
 
 /// Inline every call site inside one function (used by clone detection to
 /// flatten a model before comparison). Returns the number inlined.
 pub fn inline_all_calls_in(module: &mut Module, func: FuncId, opts: InlineOptions) -> usize {
+    inline_calls(module, func.index()..func.index() + 1, opts)
+}
+
+/// Inline the call sites of the functions in `funcs`, in order, each
+/// function's in layout order. Inlining edits only the caller, from the
+/// call's block on, so the scan resumes at that block. The exception is a
+/// caller that shrank (it inlined an empty callee): calls to it earlier in
+/// the range may have become inlinable, so the scan starts over.
+fn inline_calls(module: &mut Module, funcs: Range<usize>, opts: InlineOptions) -> usize {
     let mut inlined = 0;
-    while let Some(call_value) = find_call_in_function(module, func, &opts) {
-        inline_call(module, func, call_value);
+    let (mut func, mut from) = (funcs.start, 0);
+    while func < funcs.end {
+        let caller = FuncId::from_index(func);
+        let Some((pos, block, call)) = next_call(module, caller, from, &opts) else {
+            (func, from) = (func + 1, 0);
+            continue;
+        };
+        let before = module.function(caller).inst_count();
+        inline_call(module, caller, block, call);
         inlined += 1;
         if inlined >= opts.max_inlined_calls {
             break;
+        }
+        from = pos;
+        if module.function(caller).inst_count() < before {
+            (func, from) = (funcs.start, 0);
         }
     }
     inlined
@@ -80,31 +93,20 @@ fn call_is_inlinable(module: &Module, caller: FuncId, callee: FuncId, opts: &Inl
     cf.inst_count() <= opts.max_callee_insts
 }
 
-fn find_inlinable_call(module: &Module, opts: &InlineOptions) -> Option<(FuncId, ValueId)> {
-    for (fid, func) in module.iter_functions() {
-        if func.is_declaration || func.layout.is_empty() {
-            continue;
-        }
-        for b in func.block_order() {
-            for &v in &func.block(b).insts {
-                if let Some(Inst::Call { callee, .. }) = func.as_inst(v) {
-                    if call_is_inlinable(module, fid, *callee, opts) {
-                        return Some((fid, v));
-                    }
-                }
-            }
-        }
-    }
-    None
-}
-
-fn find_call_in_function(module: &Module, fid: FuncId, opts: &InlineOptions) -> Option<ValueId> {
+/// The first inlinable call of `fid` in layout order, from layout position
+/// `from` on: the position, the block and the call.
+fn next_call(
+    module: &Module,
+    fid: FuncId,
+    from: usize,
+    opts: &InlineOptions,
+) -> Option<(usize, BlockId, ValueId)> {
     let func = module.function(fid);
-    for b in func.block_order() {
+    for (pos, &b) in func.layout.iter().enumerate().skip(from) {
         for &v in &func.block(b).insts {
             if let Some(Inst::Call { callee, .. }) = func.as_inst(v) {
                 if call_is_inlinable(module, fid, *callee, opts) {
-                    return Some(v);
+                    return Some((pos, b, v));
                 }
             }
         }
@@ -112,11 +114,17 @@ fn find_call_in_function(module: &Module, fid: FuncId, opts: &InlineOptions) -> 
     None
 }
 
-/// Inline one specific call site.
+/// Inline one specific call site, scheduled in `call_block` of `caller`.
 ///
 /// # Panics
-/// Panics if `call_value` is not a call instruction scheduled in `caller`.
-pub fn inline_call(module: &mut Module, caller_id: FuncId, call_value: ValueId) {
+/// Panics if `call_value` is not a call instruction scheduled in
+/// `call_block`.
+pub fn inline_call(
+    module: &mut Module,
+    caller_id: FuncId,
+    call_block: BlockId,
+    call_value: ValueId,
+) {
     let (callee_id, args) = {
         let caller = module.function(caller_id);
         match caller.as_inst(call_value) {
@@ -127,17 +135,13 @@ pub fn inline_call(module: &mut Module, caller_id: FuncId, call_value: ValueId) 
     let callee: Function = module.function(callee_id).clone();
     let caller = module.function_mut(caller_id);
 
-    let call_block = caller
-        .defining_block(call_value)
-        .expect("call is not scheduled");
-
     // --- split the calling block at the call site -------------------------
     let call_pos = caller
         .block(call_block)
         .insts
         .iter()
         .position(|&v| v == call_value)
-        .expect("call not found in its defining block");
+        .expect("call not scheduled in its block");
     let after: Vec<ValueId> = caller.block(call_block).insts[call_pos + 1..].to_vec();
     let orig_term = caller.block(call_block).term.clone();
     let cont_block = caller.add_block(format!("inline.cont.{}", callee.name));
@@ -164,40 +168,53 @@ pub fn inline_call(module: &mut Module, caller_id: FuncId, call_value: ValueId) 
     }
 
     // --- clone callee blocks and values into the caller -------------------
-    let mut value_map: HashMap<ValueId, ValueId> = HashMap::new();
+    // Callee value index -> caller value.
+    let mut value_map: Vec<ValueId> = Vec::with_capacity(callee.values.len());
     let mut block_map: HashMap<BlockId, BlockId> = HashMap::new();
 
-    for (i, cb) in callee.layout.iter().enumerate() {
+    for cb in &callee.layout {
         let name = format!("inline.{}.{}", callee.name, callee.block(*cb).name);
         let nb = caller.add_block(name);
         block_map.insert(*cb, nb);
-        let _ = i;
     }
 
-    // First pass: create caller values for every callee value.
-    for (i, vd) in callee.values.iter().enumerate() {
-        let callee_vid = ValueId::from_index(i);
+    // First pass: create caller values for every callee value. Constants
+    // intern as `Function::add_constant` would (the first bit-equal caller
+    // constant wins), through an index of the caller's constants built once
+    // per call.
+    let mut consts: HashMap<(u8, u64), ValueId> = HashMap::new();
+    for (i, vd) in caller.values.iter().enumerate() {
+        if let ValueKind::Const(c) = &vd.kind {
+            consts.entry(c.bits()).or_insert(ValueId::from_index(i));
+        }
+    }
+    for vd in &callee.values {
         let mapped = match &vd.kind {
             ValueKind::Param(p) => args[*p],
-            ValueKind::Const(c) => caller.add_constant(*c),
+            ValueKind::Const(c) => *consts.entry(c.bits()).or_insert_with(|| {
+                caller.add_value(ValueData {
+                    kind: ValueKind::Const(*c),
+                    ty: c.ty(),
+                    name: None,
+                })
+            }),
             ValueKind::Inst(inst) => caller.add_value(ValueData {
                 kind: ValueKind::Inst(inst.clone()),
                 ty: vd.ty.clone(),
                 name: vd.name.clone(),
             }),
         };
-        value_map.insert(callee_vid, mapped);
+        value_map.push(mapped);
     }
 
     // Second pass: remap operands (and phi incoming blocks) of the cloned
     // instructions.
-    for (i, vd) in callee.values.iter().enumerate() {
+    for (vd, &mapped_id) in callee.values.iter().zip(&value_map) {
         if !matches!(vd.kind, ValueKind::Inst(_)) {
             continue;
         }
-        let mapped_id = value_map[&ValueId::from_index(i)];
         if let Some(inst) = caller.as_inst_mut(mapped_id) {
-            inst.map_operands(|v| value_map[&v]);
+            inst.map_operands(|v| value_map[v.index()]);
             if let Inst::Phi { incoming, .. } = inst {
                 for (b, _) in incoming.iter_mut() {
                     *b = block_map[b];
@@ -212,7 +229,7 @@ pub fn inline_call(module: &mut Module, caller_id: FuncId, call_value: ValueId) 
     for cb in &callee.layout {
         let nb = block_map[cb];
         let src = callee.block(*cb);
-        let insts: Vec<ValueId> = src.insts.iter().map(|v| value_map[v]).collect();
+        let insts: Vec<ValueId> = src.insts.iter().map(|v| value_map[v.index()]).collect();
         caller.block_mut(nb).insts = insts;
         let term = match src.term.clone().expect("callee block lacks terminator") {
             Terminator::Br(t) => Terminator::Br(block_map[&t]),
@@ -221,12 +238,12 @@ pub fn inline_call(module: &mut Module, caller_id: FuncId, call_value: ValueId) 
                 then_blk,
                 else_blk,
             } => Terminator::CondBr {
-                cond: value_map[&cond],
+                cond: value_map[cond.index()],
                 then_blk: block_map[&then_blk],
                 else_blk: block_map[&else_blk],
             },
             Terminator::Ret(val) => {
-                let mapped = val.map(|v| value_map[&v]);
+                let mapped = val.map(|v| value_map[v.index()]);
                 return_edges.push((nb, mapped));
                 Terminator::Br(cont_block)
             }
@@ -270,7 +287,6 @@ pub fn inline_call(module: &mut Module, caller_id: FuncId, call_value: ValueId) 
             caller.replace_all_uses(call_value, undef);
         }
     }
-    caller.unschedule(call_value);
 }
 
 #[cfg(test)]
@@ -413,6 +429,53 @@ mod tests {
         );
         assert_eq!(n, 0);
         assert!(has_calls(&m, caller));
+    }
+
+    #[test]
+    fn a_callee_that_shrinks_becomes_inlinable_in_earlier_callers() {
+        // `outer` calls `mid`, which is one instruction over the limit until
+        // it inlines its call to the empty `noop`. The scan must then return
+        // to `outer`, which comes first in the module.
+        let mut m = Module::new("m");
+        let outer = m.declare_function("outer", vec![Ty::F64], Ty::F64);
+        let mid = m.declare_function("mid", vec![Ty::F64], Ty::F64);
+        let noop = m.declare_function("noop", vec![], Ty::Void);
+        let sigs: Vec<(Vec<Ty>, Ty)> = m
+            .functions
+            .iter()
+            .map(|f| (f.params.clone(), f.ret_ty.clone()))
+            .collect();
+        {
+            let mut b = FunctionBuilder::new(m.function_mut(noop));
+            let e = b.create_block("entry");
+            b.switch_to_block(e);
+            b.ret(None);
+        }
+        {
+            let mut b = FunctionBuilder::new(m.function_mut(mid)).with_signatures(sigs.clone());
+            let e = b.create_block("entry");
+            b.switch_to_block(e);
+            let x = b.param(0);
+            b.call(noop, vec![]);
+            let r = b.fadd(x, x);
+            b.ret(Some(r));
+        }
+        {
+            let mut b = FunctionBuilder::new(m.function_mut(outer)).with_signatures(sigs);
+            let e = b.create_block("entry");
+            b.switch_to_block(e);
+            let x = b.param(0);
+            let r = b.call(mid, vec![x]);
+            b.ret(Some(r));
+        }
+        let opts = InlineOptions {
+            max_callee_insts: 1,
+            max_inlined_calls: 100,
+        };
+        assert_eq!(run_with_options(&mut m, opts), 2);
+        assert!(!has_calls(&m, outer));
+        assert!(!has_calls(&m, mid));
+        distill_ir::verify::verify_module(&m).unwrap();
     }
 
     #[test]

@@ -91,9 +91,7 @@ pub fn run_function(module_globals_immutable: &[bool], func: &mut Function) -> u
             }
             // Move them to the preheader, before its terminator, preserving
             // the discovered order (defs before uses).
-            for v in &to_hoist {
-                func.unschedule(*v);
-            }
+            func.unschedule_if(|v| hoisted_set.contains(&v));
             let ph = func.block_mut(preheader);
             for v in to_hoist {
                 ph.insts.push(v);

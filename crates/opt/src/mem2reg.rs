@@ -10,8 +10,10 @@
 //! `distill-analysis` all work on the SSA values this pass exposes.
 
 use distill_ir::cfg::{Cfg, DomTree};
-use distill_ir::{BlockId, Constant, Function, Inst, Module, Ty, ValueData, ValueId, ValueKind};
-use std::collections::{HashMap, HashSet};
+use distill_ir::{
+    BlockId, Constant, Function, Inst, Module, Replacements, Ty, ValueData, ValueId, ValueKind,
+};
+use std::collections::{BTreeMap, HashMap, HashSet};
 
 /// Promote allocas in one function; returns the number of promoted slots.
 pub fn run_function(func: &mut Function) -> usize {
@@ -83,6 +85,7 @@ pub fn run_function(func: &mut Function) -> usize {
         .map(|&a| (a, vec![undef]))
         .collect();
 
+    let mut repl = Replacements::default();
     rename_block(
         func,
         &cfg,
@@ -90,24 +93,26 @@ pub fn run_function(func: &mut Function) -> usize {
         &candidates,
         &phi_for,
         &mut current,
+        &mut repl,
         entry,
     );
+    func.replace_uses(&repl);
 
     // Remove the now-dead allocas, loads and stores.
-    let mut to_remove: Vec<ValueId> = Vec::new();
-    for b in func.block_order().collect::<Vec<_>>() {
+    let mut to_remove: HashSet<ValueId> = HashSet::new();
+    for b in func.block_order() {
         for &v in &func.block(b).insts {
-            match func.as_inst(v) {
-                Some(Inst::Alloca { .. }) if candidates.contains_key(&v) => to_remove.push(v),
-                Some(Inst::Store { ptr, .. }) if candidates.contains_key(ptr) => to_remove.push(v),
-                Some(Inst::Load { ptr }) if candidates.contains_key(ptr) => to_remove.push(v),
-                _ => {}
+            let slot = match func.as_inst(v) {
+                Some(Inst::Alloca { .. }) => v,
+                Some(Inst::Store { ptr, .. } | Inst::Load { ptr }) => *ptr,
+                _ => continue,
+            };
+            if candidates.contains_key(&slot) {
+                to_remove.insert(v);
             }
         }
     }
-    for v in to_remove {
-        func.unschedule(v);
-    }
+    func.unschedule_if(|v| to_remove.contains(&v));
     candidates.len()
 }
 
@@ -116,9 +121,10 @@ fn rename_block(
     func: &mut Function,
     cfg: &Cfg,
     children: &[Vec<BlockId>],
-    candidates: &HashMap<ValueId, Ty>,
+    candidates: &BTreeMap<ValueId, Ty>,
     phi_for: &HashMap<(BlockId, ValueId), ValueId>,
     current: &mut HashMap<ValueId, Vec<ValueId>>,
+    repl: &mut Replacements,
     block: BlockId,
 ) {
     let mut pushed: Vec<ValueId> = Vec::new();
@@ -131,9 +137,12 @@ fn rename_block(
         }
     }
 
-    // Walk instructions: replace loads, record stores.
+    // Walk instructions: replace loads, record stores. Load replacements
+    // are applied once the whole walk is done; operands are resolved first,
+    // so a stored value is never a replaced load.
     let insts = func.block(block).insts.clone();
     for v in insts {
+        func.resolve_operands(v, repl);
         let inst = match func.as_inst(v) {
             Some(i) => i.clone(),
             None => continue,
@@ -141,7 +150,7 @@ fn rename_block(
         match inst {
             Inst::Load { ptr } if candidates.contains_key(&ptr) => {
                 let cur = *current[&ptr].last().unwrap();
-                func.replace_all_uses(v, cur);
+                repl.insert(v, cur);
             }
             Inst::Store { ptr, value } if candidates.contains_key(&ptr) => {
                 current.get_mut(&ptr).unwrap().push(value);
@@ -166,7 +175,7 @@ fn rename_block(
 
     // Recurse into dominator-tree children.
     for &c in &children[block.index()] {
-        rename_block(func, cfg, children, candidates, phi_for, current, c);
+        rename_block(func, cfg, children, candidates, phi_for, current, repl, c);
     }
 
     // Pop this block's definitions.
@@ -177,8 +186,8 @@ fn rename_block(
 
 /// Allocas of scalar type whose address is only ever used as the pointer
 /// operand of loads and stores.
-fn promotable_allocas(func: &Function) -> HashMap<ValueId, Ty> {
-    let mut allocas: HashMap<ValueId, Ty> = HashMap::new();
+fn promotable_allocas(func: &Function) -> BTreeMap<ValueId, Ty> {
+    let mut allocas: BTreeMap<ValueId, Ty> = BTreeMap::new();
     for b in func.block_order() {
         for &v in &func.block(b).insts {
             if let Some(Inst::Alloca { ty }) = func.as_inst(v) {

@@ -12,7 +12,7 @@
 //! them.
 
 use distill_ir::cfg::Cfg;
-use distill_ir::{BlockId, Function, Inst, Module, Terminator};
+use distill_ir::{BlockId, Function, Inst, Module, Replacements, Terminator};
 use std::collections::HashSet;
 
 /// Simplify the CFG of one function; returns the number of changes applied.
@@ -136,6 +136,9 @@ fn remove_unreachable_blocks(func: &mut Function) -> usize {
 
 fn merge_straightline_blocks(func: &mut Function) -> usize {
     let mut changes = 0;
+    // The single-edge phis of merged blocks, replaced once all merges are
+    // done.
+    let mut repl = Replacements::default();
     loop {
         let cfg = Cfg::new(func);
         let mut merged = false;
@@ -152,23 +155,21 @@ fn merge_straightline_blocks(func: &mut Function) -> usize {
             if succ == func.entry_block().unwrap() {
                 continue;
             }
-            // Replace phi nodes in `succ` (they have a single incoming edge).
-            let succ_insts = func.block(succ).insts.clone();
-            for v in &succ_insts {
-                if let Some(Inst::Phi { incoming, .. }) = func.as_inst(*v) {
+            // Replace phi nodes in `succ` (they have a single incoming edge)
+            // and move the remaining instructions and the terminator up
+            // into `b`.
+            let succ_insts = std::mem::take(&mut func.block_mut(succ).insts);
+            let succ_term = func.block_mut(succ).term.take();
+            for v in succ_insts {
+                if let Some(Inst::Phi { incoming, .. }) = func.as_inst(v) {
                     assert!(incoming.len() <= 1, "single-pred block with multi-edge phi");
                     if let Some((_, val)) = incoming.first().copied() {
-                        func.replace_all_uses(*v, val);
+                        repl.insert(v, val);
                     }
-                    func.unschedule(*v);
+                } else {
+                    func.block_mut(b).insts.push(v);
                 }
             }
-            // Move remaining instructions and the terminator up into `b`.
-            let succ_insts = func.block(succ).insts.clone();
-            let succ_term = func.block(succ).term.clone();
-            func.block_mut(succ).insts.clear();
-            func.block_mut(succ).term = None;
-            func.block_mut(b).insts.extend(succ_insts);
             func.block_mut(b).term = succ_term;
             // Phi nodes in the successors of `succ` must now name `b`.
             if let Some(term) = func.block(b).term.clone() {
@@ -194,6 +195,7 @@ fn merge_straightline_blocks(func: &mut Function) -> usize {
             break;
         }
     }
+    func.replace_uses(&repl);
     changes
 }
 

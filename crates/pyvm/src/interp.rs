@@ -8,12 +8,12 @@
 //!
 //! [`ExecMode`] selects one of the paper's four §5 environments. The JIT
 //! modes are *simulations* built to reproduce the paper's qualitative
-//! findings rather than reimplementations of PyPy/Pyston (see DESIGN.md,
-//! substitution table): Pyston caches resolved parameter offsets per call
-//! site (a modest win), PyPy additionally records traces whose metadata
-//! grows with the number of executed operations and fails with an
-//! out-of-memory error once a cap is exceeded, and PyPy-nojit pays the
-//! tracing bookkeeping without ever reusing a trace.
+//! findings rather than reimplementations of PyPy/Pyston (each variant's
+//! docs say what it stands in for): Pyston caches resolved parameter
+//! offsets per call site (a modest win), PyPy additionally records traces
+//! whose metadata grows with the number of executed operations and fails
+//! with an out-of-memory error once a cap is exceeded, and PyPy-nojit pays
+//! the tracing bookkeeping without ever reusing a trace.
 
 use crate::expr::{CmpOp, Expr, NumBinOp};
 use crate::rng::SplitMix64;

@@ -17,7 +17,7 @@
 //! * [`interp`] — a tree-walking interpreter over `DynValue` environments
 //!   with four execution modes mirroring the paper's §5 environments:
 //!   CPython, Pyston, PyPy and PyPy-nojit. The JIT modes are *simulations*
-//!   (see DESIGN.md): they reproduce the qualitative behaviour the paper
+//!   (see [`ExecMode`]): they reproduce the qualitative behaviour the paper
 //!   reports — Pyston's modest win from method-level caching, PyPy's
 //!   slowdown and out-of-memory failures from trace bookkeeping that grows
 //!   with model size, and both JITs' inability to run models containing

@@ -149,12 +149,12 @@ fn main() {
     if snap.enabled {
         assert_eq!(
             snap.counter("serve.spans").unwrap_or(0),
-            stats.spans as u64,
+            stats.spans,
             "span counter drifted"
         );
         assert_eq!(
             snap.counter("serve.batch_calls").unwrap_or(0),
-            stats.batch_calls as u64,
+            stats.batch_calls,
             "batch-call counter drifted"
         );
         println!(
