@@ -264,22 +264,14 @@ fn insts_match(
                 args: ab,
             },
         ) => ca == cb && operand_lists_match(fa, fb, aa, ab, vmap),
-        (
-            IntrinsicCall { kind: ka, args: aa },
-            IntrinsicCall { kind: kb, args: ab },
-        ) => ka == kb && operand_lists_match(fa, fb, aa, ab, vmap),
+        (IntrinsicCall { kind: ka, args: aa }, IntrinsicCall { kind: kb, args: ab }) => {
+            ka == kb && operand_lists_match(fa, fb, aa, ab, vmap)
+        }
         (Alloca { ty: ta }, Alloca { ty: tb }) => ta == tb,
         (Load { ptr: pa }, Load { ptr: pb }) => values_match(fa, fb, *pa, *pb, vmap),
-        (
-            Store {
-                ptr: pa,
-                value: va,
-            },
-            Store {
-                ptr: pb,
-                value: vb,
-            },
-        ) => operand_lists_match(fa, fb, &[*pa, *va], &[*pb, *vb], vmap),
+        (Store { ptr: pa, value: va }, Store { ptr: pb, value: vb }) => {
+            operand_lists_match(fa, fb, &[*pa, *va], &[*pb, *vb], vmap)
+        }
         (
             Gep {
                 base: ba,
@@ -294,10 +286,9 @@ fn insts_match(
                 return false;
             }
             ia.iter().zip(ib).all(|(x, y)| match (x, y) {
-                (
-                    distill_ir::inst::GepIndex::Const(a),
-                    distill_ir::inst::GepIndex::Const(b),
-                ) => a == b,
+                (distill_ir::inst::GepIndex::Const(a), distill_ir::inst::GepIndex::Const(b)) => {
+                    a == b
+                }
                 (distill_ir::inst::GepIndex::Dyn(a), distill_ir::inst::GepIndex::Dyn(b)) => {
                     values_match(fa, fb, *a, *b, vmap)
                 }

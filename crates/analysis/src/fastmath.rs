@@ -33,8 +33,7 @@ pub fn apply_fast_math(func: &mut Function, opts: &VrpOptions) -> usize {
                 continue;
             };
             let range_of = |x: ValueId| ranges.get(&x).copied().unwrap_or_else(Interval::top);
-            let is_zero_const =
-                |f: &Function, x: ValueId| matches!(f.as_constant(x), Some(Constant::F64(c)) if c == 0.0 && c.is_sign_positive());
+            let is_zero_const = |f: &Function, x: ValueId| matches!(f.as_constant(x), Some(Constant::F64(c)) if c == 0.0 && c.is_sign_positive());
             match op {
                 BinOp::FMul => {
                     // x * 0.0 → 0.0 requires x finite and non-negative (to

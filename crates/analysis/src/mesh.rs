@@ -94,10 +94,7 @@ pub fn cost_range(
     let mut result = Interval::top();
     for b in func.block_order() {
         if let Some(Terminator::Ret(Some(v))) = &func.block(b).term {
-            result = ranges
-                .get(v)
-                .copied()
-                .unwrap_or_else(Interval::top);
+            result = ranges.get(v).copied().unwrap_or_else(Interval::top);
         }
     }
     result
@@ -274,6 +271,8 @@ mod tests {
         );
         assert!((result.estimate - 1.0).abs() < 0.05);
         // With b = 2 the minimum cost is 2.
-        assert!(result.best_cost.contains(2.0 + (result.estimate - 1.0).powi(2)));
+        assert!(result
+            .best_cost
+            .contains(2.0 + (result.estimate - 1.0).powi(2)));
     }
 }

@@ -87,7 +87,9 @@ fn analyze_loop(func: &Function, cfg: &Cfg, lp: &Loop) -> LoopEvolution {
 
     // Find header phis of the shape {init, +, step}.
     for &v in &func.block(lp.header).insts {
-        let Some(Inst::Phi { incoming, .. }) = func.as_inst(v) else { continue };
+        let Some(Inst::Phi { incoming, .. }) = func.as_inst(v) else {
+            continue;
+        };
         let mut init: Option<f64> = None;
         let mut step: Option<f64> = None;
         for (pred, val) in incoming {
@@ -160,7 +162,9 @@ fn min_trip_count(
         if !exits_loop {
             continue;
         }
-        let Some(Inst::Cmp { pred, lhs, rhs }) = func.as_inst(cond) else { continue };
+        let Some(Inst::Cmp { pred, lhs, rhs }) = func.as_inst(cond) else {
+            continue;
+        };
         // Which side is the evolving value and which the bound?
         let (evolving, bound, pred) = if let Some(b) = constant_f64(func, *rhs) {
             (*lhs, b, *pred)
@@ -337,12 +341,18 @@ mod tests {
 
     #[test]
     fn value_at_and_iterations_to_reach() {
-        let rec = AddRec { init: 0.5, step: 0.25 };
+        let rec = AddRec {
+            init: 0.5,
+            step: 0.25,
+        };
         assert!((rec.value_at(4.0) - 1.5).abs() < 1e-12);
         assert_eq!(rec.iterations_to_reach(1.0), Some(2.0));
         // Already past the bound: not reachable going forward.
         assert_eq!(rec.iterations_to_reach(0.25), None);
-        let down = AddRec { init: 1.0, step: -0.1 };
+        let down = AddRec {
+            init: 1.0,
+            step: -0.1,
+        };
         assert_eq!(down.iterations_to_reach(0.0), Some(10.0));
     }
 

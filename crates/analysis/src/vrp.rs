@@ -71,7 +71,10 @@ impl Interval {
 
     /// The interval `[lo, hi]` without NaN.
     pub fn new(lo: f64, hi: f64) -> Interval {
-        assert!(!lo.is_nan() && !hi.is_nan(), "interval bounds must not be NaN");
+        assert!(
+            !lo.is_nan() && !hi.is_nan(),
+            "interval bounds must not be NaN"
+        );
         Interval {
             lo,
             hi,
@@ -419,7 +422,11 @@ pub struct VrpOptions {
 /// intervals too).
 pub fn analyze_function(func: &Function, opts: &VrpOptions) -> RangeMap {
     let mut ranges: RangeMap = HashMap::new();
-    let widen_after = if opts.widen_after == 0 { 4 } else { opts.widen_after };
+    let widen_after = if opts.widen_after == 0 {
+        4
+    } else {
+        opts.widen_after
+    };
 
     // Seed constants and parameters.
     for (i, vd) in func.values.iter().enumerate() {
@@ -454,7 +461,9 @@ pub fn analyze_function(func: &Function, opts: &VrpOptions) -> RangeMap {
         let mut changed = false;
         for b in func.block_order() {
             for &v in &func.block(b).insts {
-                let Some(inst) = func.as_inst(v) else { continue };
+                let Some(inst) = func.as_inst(v) else {
+                    continue;
+                };
                 let new = transfer(func, inst, v, &ranges, opts);
                 let old = ranges.get(&v).copied();
                 let merged = match old {
@@ -608,7 +617,11 @@ mod tests {
         let neg_inf = Interval::new(f64::NEG_INFINITY, 0.0);
         let s = inf.add(&neg_inf);
         assert!(s.may_be_nan, "inf + -inf may be NaN");
-        assert!(!Interval::new(0.0, 1.0).add(&Interval::new(2.0, 3.0)).may_be_nan);
+        assert!(
+            !Interval::new(0.0, 1.0)
+                .add(&Interval::new(2.0, 3.0))
+                .may_be_nan
+        );
         assert!(Interval::new(-1.0, 1.0).log().may_be_nan);
         assert!(Interval::new(-1.0, 1.0).sqrt().may_be_nan);
         assert!(Interval::new(0.5, 2.0).log().is_finite());

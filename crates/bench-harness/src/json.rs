@@ -131,10 +131,7 @@ impl<'a> Parser<'a> {
             self.pos += 1;
             Ok(())
         } else {
-            Err(format!(
-                "expected '{}' at byte {}",
-                b as char, self.pos
-            ))
+            Err(format!("expected '{}' at byte {}", b as char, self.pos))
         }
     }
 
@@ -460,9 +457,15 @@ mod tests {
 
     #[test]
     fn renders_nested() {
-        let mut o = Json::obj([("name", "fig2".into()), ("cells", Json::from(vec![1.0f64, 2.0]))]);
+        let mut o = Json::obj([
+            ("name", "fig2".into()),
+            ("cells", Json::from(vec![1.0f64, 2.0])),
+        ]);
         o.insert("done", true.into());
-        assert_eq!(o.to_string(), "{\"name\":\"fig2\",\"cells\":[1,2],\"done\":true}");
+        assert_eq!(
+            o.to_string(),
+            "{\"name\":\"fig2\",\"cells\":[1,2],\"done\":true}"
+        );
     }
 
     #[test]
@@ -482,8 +485,8 @@ mod tests {
 
     #[test]
     fn parses_nested_structures() {
-        let v = Json::parse(r#"{"figures":[{"figure":"fig2","elapsed_s":0.25,"ok":true}]}"#)
-            .unwrap();
+        let v =
+            Json::parse(r#"{"figures":[{"figure":"fig2","elapsed_s":0.25,"ok":true}]}"#).unwrap();
         let figs = v.get("figures").unwrap().as_arr().unwrap();
         assert_eq!(figs.len(), 1);
         assert_eq!(figs[0].get("figure").unwrap().as_str(), Some("fig2"));
@@ -517,7 +520,10 @@ mod tests {
         let original = Json::obj([
             ("name", Json::str("fig \"quoted\"\n")),
             ("cells", Json::from(vec![1.0f64, -2.5, 1e-9])),
-            ("nested", Json::obj([("null", Json::Null), ("b", false.into())])),
+            (
+                "nested",
+                Json::obj([("null", Json::Null), ("b", false.into())]),
+            ),
         ]);
         let reparsed = Json::parse(&original.to_string()).unwrap();
         assert_eq!(reparsed, original);

@@ -137,7 +137,6 @@ pub struct Criterion {
     reports: Vec<GroupReport>,
 }
 
-
 impl Criterion {
     /// Set the target number of samples per benchmark (min 2).
     pub fn sample_size(mut self, n: usize) -> Criterion {
@@ -302,7 +301,13 @@ impl Criterion {
 
 fn sanitize(name: &str) -> String {
     name.chars()
-        .map(|c| if c.is_ascii_alphanumeric() || c == '-' || c == '_' { c } else { '_' })
+        .map(|c| {
+            if c.is_ascii_alphanumeric() || c == '-' || c == '_' {
+                c
+            } else {
+                '_'
+            }
+        })
         .collect()
 }
 
@@ -543,8 +548,11 @@ mod tests {
             g.bench_function(format!("dynamic{}", 1), |b| b.iter(|| 0u8));
             g.finish();
         }
-        let ids: Vec<&str> =
-            c.reports()[0].benchmarks.iter().map(|b| b.id.as_str()).collect();
+        let ids: Vec<&str> = c.reports()[0]
+            .benchmarks
+            .iter()
+            .map(|b| b.id.as_str())
+            .collect();
         assert_eq!(ids, ["static", "dynamic1"]);
     }
 }

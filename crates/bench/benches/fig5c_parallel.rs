@@ -10,12 +10,12 @@ fn bench(c: &mut Criterion) {
     let spec = RunSpec::new(w.inputs.clone(), 1);
     // Target is a run-time knob: compile once, build one runner per target.
     let artifact = compile(&w.model, CompileConfig::default()).unwrap();
-    let threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4);
+    let threads = std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(4);
     let mut g = c.benchmark_group("fig5c_parallel_grid");
     g.bench_function("serial_trial", |b| {
-        let mut runner = Session::new(&w.model)
-            .build_with(artifact.clone())
-            .unwrap();
+        let mut runner = Session::new(&w.model).build_with(artifact.clone()).unwrap();
         b.iter(|| runner.run(&spec).unwrap())
     });
     g.bench_function("mcpu_grid", |b| {

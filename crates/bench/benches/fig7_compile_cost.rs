@@ -6,7 +6,10 @@ use distill_models::{multitasking, predator_prey};
 
 fn bench(c: &mut Criterion) {
     let mut g = c.benchmark_group("fig7_compilation_cost");
-    for (name, w) in [("predator_prey_m", predator_prey(4)), ("multitasking", multitasking())] {
+    for (name, w) in [
+        ("predator_prey_m", predator_prey(4)),
+        ("multitasking", multitasking()),
+    ] {
         for level in OptLevel::all() {
             g.bench_function(format!("{name}_{level}"), |b| {
                 b.iter(|| {

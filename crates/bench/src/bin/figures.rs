@@ -57,7 +57,10 @@ impl Emitter {
             for s in &series {
                 text.push_str(&s.render());
             }
-            (text, Json::Arr(series.iter().map(|s| s.to_json()).collect()))
+            (
+                text,
+                Json::Arr(series.iter().map(|s| s.to_json()).collect()),
+            )
         });
     }
 
@@ -94,7 +97,10 @@ impl Emitter {
             return false;
         }
         if !all_figures {
-            println!("JSON report written to {} (single figure: combined figures.json left untouched)", self.dir.display());
+            println!(
+                "JSON report written to {} (single figure: combined figures.json left untouched)",
+                self.dir.display()
+            );
             return true;
         }
         let combined = Json::obj([("figures", Json::Arr(self.records))]);
@@ -125,9 +131,7 @@ fn main() {
                     Some(f) if FIGS.contains(&f.as_str()) => {
                         if let Some(prev) = &fig {
                             if prev != f {
-                                eprintln!(
-                                    "error: conflicting figure selection '{prev}' vs '{f}'"
-                                );
+                                eprintln!("error: conflicting figure selection '{prev}' vs '{f}'");
                                 std::process::exit(2);
                             }
                         }
@@ -170,7 +174,11 @@ fn main() {
     let scale = if full { 1.0 } else { 0.1 };
     // Explicit CLI flag wins over the environment.
     let out_dir = out
-        .or_else(|| std::env::var("DISTILL_BENCH_DIR").ok().filter(|d| !d.is_empty()))
+        .or_else(|| {
+            std::env::var("DISTILL_BENCH_DIR")
+                .ok()
+                .filter(|d| !d.is_empty())
+        })
         .unwrap_or_else(|| "bench_results".to_string());
 
     let want = |name: &str| fig.is_none() || fig.as_deref() == Some(name);
@@ -196,7 +204,9 @@ fn main() {
         );
     }
     if want("5a") {
-        emit.series_figure("fig5a", "Fig 5a: predator-prey scaling", || bench::fig5a(full));
+        emit.series_figure("fig5a", "Fig 5a: predator-prey scaling", || {
+            bench::fig5a(full)
+        });
     }
     if want("5b") {
         emit.figure("fig5b", || {

@@ -77,7 +77,11 @@ impl Series {
             match &c.result {
                 Ok(s) => {
                     let rel = base.map(|b| s / b).unwrap_or(1.0);
-                    let _ = writeln!(out, "  {:<24} {:>12.6} s   (x{:.4} of baseline)", c.label, s, rel);
+                    let _ = writeln!(
+                        out,
+                        "  {:<24} {:>12.6} s   (x{:.4} of baseline)",
+                        c.label, s, rel
+                    );
                 }
                 Err(msg) => {
                     let _ = writeln!(out, "  {:<24} {:>12}     <-- {}", c.label, "-", msg);
@@ -91,7 +95,10 @@ impl Series {
     pub fn to_json(&self) -> Json {
         Json::obj([
             ("title", Json::str(&self.title)),
-            ("cells", Json::Arr(self.cells.iter().map(Cell::to_json).collect())),
+            (
+                "cells",
+                Json::Arr(self.cells.iter().map(Cell::to_json).collect()),
+            ),
         ])
     }
 }
@@ -215,8 +222,7 @@ pub fn fig5c(levels: usize, threads: usize) -> Series {
     let w = predator_prey(levels);
     let spec = RunSpec::new(w.inputs.clone(), 1);
     // Target is a run-time knob: compile once, build one runner per target.
-    let artifact =
-        compile(&w.model, CompileConfig::default()).expect("compilation succeeds");
+    let artifact = compile(&w.model, CompileConfig::default()).expect("compilation succeeds");
     let grid = artifact.grid_size;
 
     let mut serial_runner = Session::new(&w.model)
@@ -293,7 +299,11 @@ impl Fig6Report {
             "== Fig 6: GPU running time vs max registers (grid = {})",
             self.grid_size
         );
-        let _ = writeln!(out, "  {:<8} {:<10} {:>12} {:>12}", "kernel", "max regs", "time (s)", "occupancy");
+        let _ = writeln!(
+            out,
+            "  {:<8} {:<10} {:>12} {:>12}",
+            "kernel", "max regs", "time (s)", "occupancy"
+        );
         for r in &self.rows {
             let _ = writeln!(
                 out,
@@ -333,8 +343,7 @@ pub fn fig6(levels: usize) -> Fig6Report {
     let w = predator_prey(levels);
     // The GpuConfig is a run-time knob: compile once and rebuild only the
     // (cheap) runner per configuration via `build_with`.
-    let artifact =
-        compile(&w.model, CompileConfig::default()).expect("compilation succeeds");
+    let artifact = compile(&w.model, CompileConfig::default()).expect("compilation succeeds");
     let grid_size = artifact.grid_size;
     let spec = RunSpec::new(w.inputs.clone(), 1);
     let mut rows = Vec::new();
@@ -707,7 +716,11 @@ mod tests {
     fn fig2_locates_the_optimum_without_model_runs() {
         let r = fig2();
         assert_eq!(r.rounds, 7);
-        assert!((r.estimate - 4.6).abs() < 0.1, "optimum near 4.6: {}", r.estimate);
+        assert!(
+            (r.estimate - 4.6).abs() < 0.1,
+            "optimum near 4.6: {}",
+            r.estimate
+        );
         let text = r.render();
         assert!(text.contains("estimate after 7 rounds"));
         assert!(text.contains("interval evaluations"));
@@ -721,7 +734,11 @@ mod tests {
         // unoptimized test profile we only check that every configuration
         // completes and renders.
         let s = fig5b(0.1);
-        let t: Vec<f64> = s.cells.iter().filter_map(|c| c.result.clone().ok()).collect();
+        let t: Vec<f64> = s
+            .cells
+            .iter()
+            .filter_map(|c| c.result.clone().ok())
+            .collect();
         assert_eq!(t.len(), 3);
         assert!(s.render().contains("CPython-DISTILL-per-node"));
     }
@@ -739,7 +756,10 @@ mod tests {
         let scaling = distill_models::by_tag(distill_models::Tag::Scaling);
         assert_eq!(series.len(), scaling.len());
         for (s, spec) in series.iter().zip(scaling) {
-            assert_eq!(s.title, spec.build(distill_models::Scale::Reduced).model.name);
+            assert_eq!(
+                s.title,
+                spec.build(distill_models::Scale::Reduced).model.name
+            );
             assert_eq!(s.cells.len(), 2);
         }
     }

@@ -27,7 +27,11 @@ fn fig2_mesh_refinement_runs() {
 #[test]
 fn fig3_clone_detection_runs() {
     let r = bench::fig3();
-    assert!(r.equivalent, "Extended Stroop A and B are clones: {:?}", r.mismatch);
+    assert!(
+        r.equivalent,
+        "Extended Stroop A and B are clones: {:?}",
+        r.mismatch
+    );
     assert!(r.matched_instructions > 0);
 }
 
@@ -56,7 +60,13 @@ fn fig4_registry_models_run_baseline_and_distill() {
     // and under Distill (the figure itself scales the trial counts).
     for spec in registry::by_tag(Tag::Figure4) {
         let w = spec.build(Scale::Reduced);
-        match time_baseline(&w.model, &w.inputs, 1, ExecMode::CPython, Some(bench::DNF_BUDGET)) {
+        match time_baseline(
+            &w.model,
+            &w.inputs,
+            1,
+            ExecMode::CPython,
+            Some(bench::DNF_BUDGET),
+        ) {
             Measurement::Time(d) => assert!(d.as_nanos() > 0, "{}", spec.name),
             Measurement::Failed(msg) => panic!("{}: baseline failed: {msg}", spec.name),
         }
@@ -73,7 +83,10 @@ fn fig5a_workload_scales_baseline_vs_distill() {
     // variant end to end on both paths (the ladder's first entry is the S
     // variant the old hand-rolled test used).
     let scaling = registry::by_tag(Tag::Scaling);
-    assert_eq!(scaling[0].build(Scale::Reduced).model.name, predator_prey(2).model.name);
+    assert_eq!(
+        scaling[0].build(Scale::Reduced).model.name,
+        predator_prey(2).model.name
+    );
     let w = scaling[0].build(Scale::Reduced);
     let spec = RunSpec::new(w.inputs.clone(), 1);
     Session::new(&w.model)
@@ -137,7 +150,11 @@ fn fig7_workload_breaks_down_compile_cost() {
     }
     // The sweep covers O0..O3 in order. (Instruction counts may go either
     // way: folding/DCE shrink the module, O2/O3 inlining grows it.)
-    let levels: Vec<&str> = r.models[0].rows.iter().map(|row| row.level.as_str()).collect();
+    let levels: Vec<&str> = r.models[0]
+        .rows
+        .iter()
+        .map(|row| row.level.as_str())
+        .collect();
     assert_eq!(levels, ["O0", "O1", "O2", "O3"]);
 }
 

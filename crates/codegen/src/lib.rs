@@ -30,9 +30,7 @@
 //!   same random numbers as the sequential baseline.
 
 use distill_cogmodel::{Composition, Controller};
-use distill_ir::{
-    Constant, FuncId, FunctionBuilder, GlobalId, Module, Ty, ValueId,
-};
+use distill_ir::{Constant, FuncId, FunctionBuilder, GlobalId, Module, Ty, ValueId};
 use distill_opt::{OptLevel, PassManager, PassStats};
 use distill_pyvm::{CmpOp, Expr, MathFn, NumBinOp};
 use std::collections::HashMap;
@@ -164,12 +162,22 @@ impl Layout {
         }
         for &node in &model.input_nodes {
             l.ext_offsets.insert(node, l.ext_len);
-            l.ext_len += model.mechanisms[node].input_sizes.first().copied().unwrap_or(0);
+            l.ext_len += model.mechanisms[node]
+                .input_sizes
+                .first()
+                .copied()
+                .unwrap_or(0);
         }
         l.trial_output_len = model
             .output_nodes
             .iter()
-            .map(|&n| model.mechanisms[n].output_sizes.first().copied().unwrap_or(0))
+            .map(|&n| {
+                model.mechanisms[n]
+                    .output_sizes
+                    .first()
+                    .copied()
+                    .unwrap_or(0)
+            })
             .sum();
         l
     }
@@ -370,15 +378,36 @@ pub fn compile(model: &Composition, config: CompileConfig) -> Result<CompiledMod
     let mut node_funcs = Vec::with_capacity(model.mechanisms.len());
     let mut eval_node_funcs = Vec::with_capacity(model.mechanisms.len());
     for i in 0..model.mechanisms.len() {
-        node_funcs.push(gen_node_fn(&mut module, model, &layout, &globals, i, Variant::Trial)?);
+        node_funcs.push(gen_node_fn(
+            &mut module,
+            model,
+            &layout,
+            &globals,
+            i,
+            Variant::Trial,
+        )?);
     }
     for i in 0..model.mechanisms.len() {
-        eval_node_funcs.push(gen_node_fn(&mut module, model, &layout, &globals, i, Variant::Eval)?);
+        eval_node_funcs.push(gen_node_fn(
+            &mut module,
+            model,
+            &layout,
+            &globals,
+            i,
+            Variant::Eval,
+        )?);
     }
 
     // --- grid evaluation kernel --------------------------------------------
     let (eval_func, grid_size) = if let Some(ctrl) = &model.controller {
-        let f = gen_grid_eval(&mut module, model, &layout, &globals, ctrl, &eval_node_funcs)?;
+        let f = gen_grid_eval(
+            &mut module,
+            model,
+            &layout,
+            &globals,
+            ctrl,
+            &eval_node_funcs,
+        )?;
         (Some(f), ctrl.grid_size())
     } else {
         (None, 0)
@@ -486,8 +515,7 @@ fn declare_globals(
         true,
     );
 
-    let ctrl_params =
-        module.add_zeroed_global(global_names::CTRL_PARAMS, f64_arr(n_signals), true);
+    let ctrl_params = module.add_zeroed_global(global_names::CTRL_PARAMS, f64_arr(n_signals), true);
     let eval_ctrl = module.add_zeroed_global(global_names::EVAL_CTRL, f64_arr(n_signals), true);
     let out_cur = module.add_zeroed_global(global_names::OUT_CUR, f64_arr(layout.out_len), true);
     let out_prev = module.add_zeroed_global(global_names::OUT_PREV, f64_arr(layout.out_len), true);
@@ -637,7 +665,12 @@ struct LowerCtx<'a> {
 }
 
 impl LowerCtx<'_> {
-    fn load_array_elem(&self, b: &mut FunctionBuilder<'_>, global: GlobalId, offset: usize) -> ValueId {
+    fn load_array_elem(
+        &self,
+        b: &mut FunctionBuilder<'_>,
+        global: GlobalId,
+        offset: usize,
+    ) -> ValueId {
         let base = b.global_addr(global);
         let p = b.const_elem_addr(base, offset);
         b.load(p)
@@ -1031,8 +1064,8 @@ fn gen_trial_fn(
     eval_func: Option<FuncId>,
     seed: u64,
 ) -> Result<FuncId, CodegenError> {
-    use distill_cogmodel::Condition;
     use distill_cogmodel::composition::TrialEnd;
+    use distill_cogmodel::Condition;
 
     let topo = model
         .topological_order()
@@ -1292,7 +1325,11 @@ fn gen_trial_fn(
     b.switch_to_block(pass_exit);
     let mut out_offset = 0usize;
     for &o in &model.output_nodes {
-        let size = model.mechanisms[o].output_sizes.first().copied().unwrap_or(0);
+        let size = model.mechanisms[o]
+            .output_sizes
+            .first()
+            .copied()
+            .unwrap_or(0);
         for i in 0..size {
             let src = layout.out_offset(o, 0, i);
             let cur_base = b.global_addr(globals.out_cur);
@@ -1509,7 +1546,10 @@ mod tests {
             + o0.node_funcs.iter().map(|&f| size(&o0, f)).sum::<usize>();
         let o2_trial = size(&o2, o2.trial_func.unwrap());
         assert!(o2_trial > 0);
-        assert!(o2_trial <= o0_parts, "O2 trial {o2_trial} vs O0 parts {o0_parts}");
+        assert!(
+            o2_trial <= o0_parts,
+            "O2 trial {o2_trial} vs O0 parts {o0_parts}"
+        );
     }
 
     #[test]

@@ -238,7 +238,9 @@ impl Composition {
         }
         if let Some(c) = &self.controller {
             if c.objective_node >= n {
-                return Err(CompositionError("controller objective node is unknown".into()));
+                return Err(CompositionError(
+                    "controller objective node is unknown".into(),
+                ));
             }
             for s in &c.signals {
                 let m = self.mechanisms.get(s.node).ok_or_else(|| {

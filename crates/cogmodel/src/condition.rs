@@ -35,9 +35,7 @@ impl Condition {
         match self {
             Condition::Always => true,
             Condition::EveryNPasses(n) => *n != 0 && pass.is_multiple_of(*n),
-            Condition::AfterNCalls { node, n } => {
-                all_calls.get(*node).copied().unwrap_or(0) >= *n
-            }
+            Condition::AfterNCalls { node, n } => all_calls.get(*node).copied().unwrap_or(0) >= *n,
             Condition::AtMostNCalls(n) => own_calls < *n,
             Condition::Never => false,
         }

@@ -313,7 +313,14 @@ pub fn necker_vertex(name: &str, n_neighbors: usize, leak: f64, gain: f64, dt: f
 /// The vectorized variant of the Necker cube model: all `n` vertices live in
 /// a single mechanism whose input port carries the full activity vector and
 /// whose adjacency is encoded in a weight parameter (1.0 where connected).
-pub fn necker_vectorized(name: &str, n: usize, adjacency: Vec<f64>, leak: f64, gain: f64, dt: f64) -> Mechanism {
+pub fn necker_vectorized(
+    name: &str,
+    n: usize,
+    adjacency: Vec<f64>,
+    leak: f64,
+    gain: f64,
+    dt: f64,
+) -> Mechanism {
     assert_eq!(adjacency.len(), n * n, "adjacency matrix shape mismatch");
     let mut outputs = Vec::with_capacity(n);
     let mut state_updates = Vec::with_capacity(n);
@@ -485,7 +492,7 @@ mod tests {
     fn weighted_transfer_unrolls_matrix_product() {
         // 2-in, 2-out identity weights with zero bias and huge gain behaves
         // like a (soft) threshold on each input.
-        let m = weighted_transfer("h", 2, 2, vec![1.0, 0.0, 0.0, 1.0], vec![0.0, 0.0], 1.0, );
+        let m = weighted_transfer("h", 2, 2, vec![1.0, 0.0, 0.0, 1.0], vec![0.0, 0.0], 1.0);
         let out = eval_outputs(&m, &[vec![2.0, -2.0]]);
         assert!(out[0][0] > 0.8);
         assert!(out[0][1] < 0.2);

@@ -53,11 +53,7 @@ impl NodeComputation {
 
     /// Total expression size (compile-cost proxy).
     pub fn size(&self) -> usize {
-        self.outputs
-            .iter()
-            .flatten()
-            .map(Expr::size)
-            .sum::<usize>()
+        self.outputs.iter().flatten().map(Expr::size).sum::<usize>()
             + self
                 .state_updates
                 .iter()
@@ -244,7 +240,10 @@ mod tests {
     #[test]
     fn computation_size_and_rng() {
         let c = NodeComputation {
-            outputs: vec![vec![E::add(E::input(0), E::mul(E::param("noise"), E::RandNormal))]],
+            outputs: vec![vec![E::add(
+                E::input(0),
+                E::mul(E::param("noise"), E::RandNormal),
+            )]],
             state_updates: vec![("acc".into(), 0, E::add(E::state("acc"), E::lit(1.0)))],
         };
         assert!(c.uses_rng());

@@ -27,7 +27,10 @@ pub struct MlpSpec {
 impl MlpSpec {
     /// Create a spec.
     pub fn new(widths: Vec<usize>, logistic: bool, seed: u64) -> MlpSpec {
-        assert!(widths.len() >= 2, "an MLP needs at least input and output widths");
+        assert!(
+            widths.len() >= 2,
+            "an MLP needs at least input and output widths"
+        );
         MlpSpec {
             widths,
             logistic,
@@ -42,10 +45,7 @@ impl MlpSpec {
 
     /// Total number of trainable parameters.
     pub fn n_params(&self) -> usize {
-        self.widths
-            .windows(2)
-            .map(|w| w[0] * w[1] + w[1])
-            .sum()
+        self.widths.windows(2).map(|w| w[0] * w[1] + w[1]).sum()
     }
 }
 
@@ -55,7 +55,9 @@ fn init_weights(rng: &mut SplitMix64, n_in: usize, n_out: usize) -> (Vec<f64>, V
     let weights = (0..n_in * n_out)
         .map(|_| (rng.uniform() * 2.0 - 1.0) * scale)
         .collect();
-    let bias = (0..n_out).map(|_| (rng.uniform() * 2.0 - 1.0) * 0.1).collect();
+    let bias = (0..n_out)
+        .map(|_| (rng.uniform() * 2.0 - 1.0) * 0.1)
+        .collect();
     (weights, bias)
 }
 

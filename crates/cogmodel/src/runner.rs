@@ -267,9 +267,8 @@ impl BaselineRunner {
                     if !m.condition.is_ready(pass, calls[node], &calls) {
                         continue;
                     }
-                    let node_inputs = gather_inputs(
-                        model, &incoming, node, input, &prev, &cur, &executed,
-                    );
+                    let node_inputs =
+                        gather_inputs(model, &incoming, node, input, &prev, &cur, &executed);
                     self.execute_node(
                         model,
                         node,
@@ -639,7 +638,10 @@ mod tests {
             let err = BaselineRunner::new(mode)
                 .run(&c, &[vec![vec![0.1, 0.2]]], 1)
                 .unwrap_err();
-            assert!(matches!(err, RunError::UnsupportedFramework { .. }), "{mode}");
+            assert!(
+                matches!(err, RunError::UnsupportedFramework { .. }),
+                "{mode}"
+            );
         }
         assert!(BaselineRunner::new(ExecMode::CPython)
             .run(&c, &[vec![vec![0.1, 0.2]]], 1)

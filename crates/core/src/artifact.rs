@@ -153,7 +153,12 @@ pub fn deserialize_artifact(bytes: &[u8]) -> Result<CompiledModel, ArtifactError
             r.bytes.len() - r.pos
         )));
     }
-    for f in node_funcs.iter().chain(&trial_func).chain(&batch_func).chain(&eval_func) {
+    for f in node_funcs
+        .iter()
+        .chain(&trial_func)
+        .chain(&batch_func)
+        .chain(&eval_func)
+    {
         if f.index() >= module.functions.len() {
             return Err(ArtifactError::Corrupt(format!(
                 "entry point {} out of range",
@@ -291,8 +296,7 @@ impl<'a> Reader<'a> {
     fn str(&mut self) -> Result<String, ArtifactError> {
         let n = self.len()?;
         let s = self.take(n)?;
-        String::from_utf8(s.to_vec())
-            .map_err(|_| ArtifactError::Corrupt("non-utf8 string".into()))
+        String::from_utf8(s.to_vec()).map_err(|_| ArtifactError::Corrupt("non-utf8 string".into()))
     }
 }
 
@@ -1059,7 +1063,11 @@ mod tests {
         let c = compiled();
         let reloaded = deserialize_artifact(&serialize_artifact(&c)).unwrap();
         let spec = RunSpec::new(w.inputs.clone(), 3);
-        let fresh = Session::new(&w.model).build_with(c).unwrap().run(&spec).unwrap();
+        let fresh = Session::new(&w.model)
+            .build_with(c)
+            .unwrap()
+            .run(&spec)
+            .unwrap();
         let warm = Session::new(&w.model)
             .build_with(reloaded)
             .unwrap()
@@ -1138,7 +1146,10 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("bad.dstl");
         std::fs::write(&path, &clean[..clean.len() / 2]).unwrap();
-        assert!(matches!(read_artifact(&path), Err(ArtifactError::Corrupt(_))));
+        assert!(matches!(
+            read_artifact(&path),
+            Err(ArtifactError::Corrupt(_))
+        ));
         let mut flipped = clean.clone();
         let mid = clean.len() / 2;
         flipped[mid] ^= 0x01;

@@ -183,11 +183,13 @@ impl ChaosPlan {
         SEED.store(self.seed, Ordering::SeqCst);
         PANIC_TRIAL.store(self.panic_trial.unwrap_or(NO_TRIAL), Ordering::SeqCst);
         BUILD_COUNTDOWN.store(
-            self.panic_build.map_or(-1, |n| n.min(i64::MAX as u64 - 1) as i64),
+            self.panic_build
+                .map_or(-1, |n| n.min(i64::MAX as u64 - 1) as i64),
             Ordering::SeqCst,
         );
         READ_COUNTDOWN.store(
-            self.corrupt_read.map_or(-1, |n| n.min(i64::MAX as u64 - 1) as i64),
+            self.corrupt_read
+                .map_or(-1, |n| n.min(i64::MAX as u64 - 1) as i64),
             Ordering::SeqCst,
         );
         DELAY_MS.store(self.delay_ms, Ordering::SeqCst);
@@ -211,7 +213,9 @@ pub fn install_from_env() -> Result<Option<ChaosPlan>, String> {
 
 /// The [`CHAOS_ENV`] value, when set to something non-blank.
 fn env_spec() -> Option<String> {
-    std::env::var(CHAOS_ENV).ok().filter(|v| !v.trim().is_empty())
+    std::env::var(CHAOS_ENV)
+        .ok()
+        .filter(|v| !v.trim().is_empty())
 }
 
 /// Disarm every process-global hook.
@@ -247,9 +251,9 @@ pub fn check_panic_trial(lo: usize, n: usize) {
 /// Called by artifact builders (the serve cache's compile path); panics on
 /// the armed build ordinal, once.
 pub fn check_panic_build(what: &str) {
-    let fired = BUILD_COUNTDOWN
-        .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |v| (v >= 0).then(|| v - 1))
-        == Ok(0);
+    let fired = BUILD_COUNTDOWN.fetch_update(Ordering::SeqCst, Ordering::SeqCst, |v| {
+        (v >= 0).then(|| v - 1)
+    }) == Ok(0);
     if fired {
         panic!("chaos: injected panic while building artifact for `{what}`");
     }
@@ -260,9 +264,9 @@ pub fn check_panic_build(what: &str) {
 /// the corruption fired (tests assert on it; production callers ignore it
 /// and let the codec's integrity checks reject the bytes).
 pub fn corrupt_artifact_read(bytes: &mut [u8]) -> bool {
-    let fired = READ_COUNTDOWN
-        .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |v| (v >= 0).then(|| v - 1))
-        == Ok(0);
+    let fired = READ_COUNTDOWN.fetch_update(Ordering::SeqCst, Ordering::SeqCst, |v| {
+        (v >= 0).then(|| v - 1)
+    }) == Ok(0);
     if fired && !bytes.is_empty() {
         let mut s = SEED.load(Ordering::SeqCst) ^ bytes.len() as u64;
         let idx = (splitmix64(&mut s) % bytes.len() as u64) as usize;
@@ -288,9 +292,8 @@ mod tests {
 
     #[test]
     fn parse_accepts_the_unified_grammar_and_rejects_typos() {
-        let plan =
-            ChaosPlan::parse("panic=13, buildpanic=0, corrupt=2, delay=5, kill=1@2, seed=9")
-                .unwrap();
+        let plan = ChaosPlan::parse("panic=13, buildpanic=0, corrupt=2, delay=5, kill=1@2, seed=9")
+            .unwrap();
         assert_eq!(plan.panic_trial, Some(13));
         assert_eq!(plan.panic_build, Some(0));
         assert_eq!(plan.corrupt_read, Some(2));

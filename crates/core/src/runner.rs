@@ -9,15 +9,15 @@
 //! driving code.
 
 use crate::DistillError;
+use distill_codegen::global_names as gn;
+use distill_codegen::CompiledModel;
 use distill_cogmodel::composition::TrialEnd;
 use distill_cogmodel::controller::ReservoirArgmin;
 use distill_cogmodel::runner::TrialInput;
 use distill_cogmodel::{BaselineRunner, Composition};
-use distill_codegen::global_names as gn;
-use distill_codegen::CompiledModel;
 use distill_exec::{
-    gpu, mcpu, ChunkQueue, Engine, ExecConfig, GpuConfig, GpuRunReport, GrabCount,
-    ParallelResult, TierPolicy, Value,
+    gpu, mcpu, ChunkQueue, Engine, ExecConfig, GpuConfig, GpuRunReport, GrabCount, ParallelResult,
+    TierPolicy, Value,
 };
 use distill_pyvm::SplitMix64;
 use std::sync::Arc;
@@ -218,7 +218,10 @@ pub(crate) fn validate_spec(model: &Composition, spec: &RunSpec) -> Result<(), D
             if values.len() != want {
                 return Err(DistillError::Driver(format!(
                     "trial input {t}, input node {} ({}): expected {} values, got {}",
-                    node, model.mechanisms[node].name, want, values.len()
+                    node,
+                    model.mechanisms[node].name,
+                    want,
+                    values.len()
                 )));
             }
         }
@@ -395,7 +398,11 @@ impl CompiledDriver {
     /// trial index and its input — the trial prologue re-derives PRNG
     /// streams per trial — so the stitched result is bit-identical to
     /// [`CompiledDriver::run_whole`] at any thread count and any schedule.
-    fn run_sharded(&mut self, spec: &RunSpec, flats: &[Vec<f64>]) -> Result<RunResult, DistillError> {
+    fn run_sharded(
+        &mut self,
+        spec: &RunSpec,
+        flats: &[Vec<f64>],
+    ) -> Result<RunResult, DistillError> {
         let chunk = self.exec.window(spec.batch);
         let n_chunks = spec.trials.div_ceil(chunk);
         let threads = spec.shards.min(n_chunks).max(1);
@@ -407,49 +414,47 @@ impl CompiledDriver {
 
         type ChunkResult = (usize, Vec<Vec<f64>>, Vec<u64>);
         type WorkerResult = (Vec<ChunkResult>, u64, distill_exec::EngineStats);
-        let worker_results: Vec<Result<WorkerResult, DistillError>> =
-            std::thread::scope(|scope| {
-                let mut handles = Vec::new();
-                for _ in 0..threads {
-                    let queue = &queue;
-                    // Thread-local copy of every read-write structure.
-                    let mut exec = self.exec.clone();
-                    handles.push(scope.spawn(move || {
-                        let mut mine: Vec<ChunkResult> = Vec::new();
-                        let mut grabs = GrabCount::default();
-                        // Worker stats start from the template's snapshot;
-                        // only the delta is this worker's own work.
-                        let base_stats = exec.engine.stats();
-                        while let Some(range) = queue.grab() {
-                            grabs.record();
-                            for c in range {
-                                let lo = c * chunk;
-                                let n = chunk.min(spec.trials - lo);
-                                let (outs, passes) =
-                                    run_chunk(&mut exec, flats, spec.offset + lo, n)?;
-                                mine.push((c, outs, passes));
-                            }
+        let worker_results: Vec<Result<WorkerResult, DistillError>> = std::thread::scope(|scope| {
+            let mut handles = Vec::new();
+            for _ in 0..threads {
+                let queue = &queue;
+                // Thread-local copy of every read-write structure.
+                let mut exec = self.exec.clone();
+                handles.push(scope.spawn(move || {
+                    let mut mine: Vec<ChunkResult> = Vec::new();
+                    let mut grabs = GrabCount::default();
+                    // Worker stats start from the template's snapshot;
+                    // only the delta is this worker's own work.
+                    let base_stats = exec.engine.stats();
+                    while let Some(range) = queue.grab() {
+                        grabs.record();
+                        for c in range {
+                            let lo = c * chunk;
+                            let n = chunk.min(spec.trials - lo);
+                            let (outs, passes) = run_chunk(&mut exec, flats, spec.offset + lo, n)?;
+                            mine.push((c, outs, passes));
                         }
-                        Ok((mine, grabs.steals(), exec.engine.stats_since(&base_stats)))
-                    }));
-                }
-                handles
-                    .into_iter()
-                    .map(|h| {
-                        // A panicking worker is a driver error, not a
-                        // propagated unwind: the caller gets a typed
-                        // `DistillError` and every other worker's handle is
-                        // still joined (scope exit), so no thread leaks and
-                        // no partial result is silently returned.
-                        h.join().unwrap_or_else(|p| {
-                            Err(DistillError::Driver(format!(
-                                "shard worker panicked: {}",
-                                distill_exec::panic_message(&*p)
-                            )))
-                        })
+                    }
+                    Ok((mine, grabs.steals(), exec.engine.stats_since(&base_stats)))
+                }));
+            }
+            handles
+                .into_iter()
+                .map(|h| {
+                    // A panicking worker is a driver error, not a
+                    // propagated unwind: the caller gets a typed
+                    // `DistillError` and every other worker's handle is
+                    // still joined (scope exit), so no thread leaks and
+                    // no partial result is silently returned.
+                    h.join().unwrap_or_else(|p| {
+                        Err(DistillError::Driver(format!(
+                            "shard worker panicked: {}",
+                            distill_exec::panic_message(&*p)
+                        )))
                     })
-                    .collect()
-            });
+                })
+                .collect()
+        });
 
         // Stitch chunks back into trial order; every chunk arrives exactly
         // once (the queue partitions the index space).
@@ -624,7 +629,6 @@ impl CompiledDriver {
         }
         Ok(result)
     }
-
 }
 
 /// Core's chunk step, shared by the serial and the sharded scheduler: the
@@ -722,9 +726,13 @@ impl ChunkExecutor {
             .call(batch_fn, &[Value::I64(lo as i64), Value::I64(n as i64)])?;
         // Read only the window's slots, one global read each.
         let out_len = layout.trial_output_len;
-        let o = self.engine.read_global_f64_prefix(gn::BATCH_OUT, n * out_len)?;
+        let o = self
+            .engine
+            .read_global_f64_prefix(gn::BATCH_OUT, n * out_len)?;
         let p = self.engine.read_global_f64_prefix(gn::BATCH_PASSES, n)?;
-        let outs = (0..n).map(|k| o[k * out_len..(k + 1) * out_len].to_vec()).collect();
+        let outs = (0..n)
+            .map(|k| o[k * out_len..(k + 1) * out_len].to_vec())
+            .collect();
         Ok((outs, p.into_iter().map(|v| v as u64).collect()))
     }
 }

@@ -3,15 +3,14 @@
 
 use crate::runner::{BaselineBackend, CompiledBackend, CompiledDriver, GridStrategy, Runner};
 use crate::DistillError;
-use distill_cogmodel::{BaselineRunner, Composition};
 use distill_codegen::{compile, CompileConfig, CompileMode, CompiledModel};
+use distill_cogmodel::{BaselineRunner, Composition};
 use distill_exec::GpuConfig;
 use distill_opt::OptLevel;
 use distill_pyvm::ExecMode;
 
 /// Where a [`Session`] executes its model.
-#[derive(Debug, Clone, Copy, PartialEq)]
-#[derive(Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum Target {
     /// The dynamic baseline interpreter in one of the §5 environments; no
     /// compilation happens.
@@ -40,7 +39,6 @@ pub enum Target {
     /// [`distill_exec::GpuRunReport`].
     Gpu(GpuConfig),
 }
-
 
 /// Builder tying a model to compile-time knobs and an execution target.
 ///
@@ -179,10 +177,7 @@ impl Session {
         self.build_inner(Some(compiled))
     }
 
-    fn build_inner(
-        self,
-        artifact: Option<CompiledModel>,
-    ) -> Result<Box<dyn Runner>, DistillError> {
+    fn build_inner(self, artifact: Option<CompiledModel>) -> Result<Box<dyn Runner>, DistillError> {
         let grid = match self.target {
             Target::Baseline(mode) => {
                 let mut runner = BaselineRunner::new(mode).with_seed(self.config.seed);

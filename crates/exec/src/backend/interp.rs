@@ -64,9 +64,9 @@ pub(crate) fn enter_block(
         .find(|(pred, _)| *pred == p)
         .expect("phi edge decoded for every static predecessor");
     match edge {
-        PhiEdge::Missing { phi, pred } => {
-            Err(ExecError::Type(format!("phi %{phi} has no edge from bb{pred}")))
-        }
+        PhiEdge::Missing { phi, pred } => Err(ExecError::Type(format!(
+            "phi %{phi} has no edge from bb{pred}"
+        ))),
         PhiEdge::Copies(copies) => {
             // Parallel copy: all sources are read against the pre-entry
             // register state before any destination is written (a phi may
@@ -393,12 +393,12 @@ pub(crate) fn exec_un(op: UnOp, a: Value) -> Result<Value, ExecError> {
 /// Execute a cast.
 pub(crate) fn exec_cast(kind: CastKind, a: Value) -> Result<Value, ExecError> {
     Ok(match kind {
-        CastKind::SiToFp => Value::F64(
-            a.as_i64().ok_or_else(|| ExecError::Type("sitofp".into()))? as f64,
-        ),
-        CastKind::FpToSi => Value::I64(
-            a.as_f64().ok_or_else(|| ExecError::Type("fptosi".into()))? as i64,
-        ),
+        CastKind::SiToFp => {
+            Value::F64(a.as_i64().ok_or_else(|| ExecError::Type("sitofp".into()))? as f64)
+        }
+        CastKind::FpToSi => {
+            Value::I64(a.as_f64().ok_or_else(|| ExecError::Type("fptosi".into()))? as i64)
+        }
         CastKind::FpTrunc | CastKind::FpExt => {
             Value::F64(a.as_f64().ok_or_else(|| ExecError::Type("fpcast".into()))?)
         }
@@ -487,8 +487,7 @@ pub(crate) fn read_operand(op: &Operand, regs: &[Option<Value>]) -> Result<Value
 /// fused `BinRI`/`BinIR` forms).
 #[inline]
 pub(crate) fn read_reg(regs: &[Option<Value>], i: u32) -> Result<Value, ExecError> {
-    regs[i as usize]
-        .ok_or_else(|| ExecError::Undef(format!("value %{i} used before definition")))
+    regs[i as usize].ok_or_else(|| ExecError::Undef(format!("value %{i} used before definition")))
 }
 
 /// Charge one extra unit of fuel for an instruction a superinstruction
@@ -506,8 +505,10 @@ pub(crate) fn charge_fuel(fuel: &mut u64) -> Result<(), ExecError> {
 pub(crate) fn exec_bin(op: BinOp, a: Value, b: Value) -> Result<Value, ExecError> {
     if op.is_float() {
         let (x, y) = (
-            a.as_f64().ok_or_else(|| ExecError::Type("float op".into()))?,
-            b.as_f64().ok_or_else(|| ExecError::Type("float op".into()))?,
+            a.as_f64()
+                .ok_or_else(|| ExecError::Type("float op".into()))?,
+            b.as_f64()
+                .ok_or_else(|| ExecError::Type("float op".into()))?,
         );
         Ok(Value::F64(float_bin(op, x, y)))
     } else {
@@ -515,7 +516,9 @@ pub(crate) fn exec_bin(op: BinOp, a: Value, b: Value) -> Result<Value, ExecError
             a.as_i64().ok_or_else(|| ExecError::Type("int op".into()))?,
             b.as_i64().ok_or_else(|| ExecError::Type("int op".into()))?,
         );
-        int_bin(op, x, y).map(Value::I64).ok_or(ExecError::DivisionByZero)
+        int_bin(op, x, y)
+            .map(Value::I64)
+            .ok_or(ExecError::DivisionByZero)
     }
 }
 

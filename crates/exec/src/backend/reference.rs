@@ -4,7 +4,7 @@
 //! deliberately unoptimized, because every other tier is differentially
 //! pinned against it.
 
-use super::interp::{exec_bin, exec_cast, exec_cmp, exec_math, exec_un, exec_rand};
+use super::interp::{exec_bin, exec_cast, exec_cmp, exec_math, exec_rand, exec_un};
 use crate::engine::{EngineCtx, ExecError, Value};
 use distill_ir::inst::GepIndex;
 use distill_ir::{FuncId, Function, Inst, Module, Terminator, Ty, ValueId, ValueKind};

@@ -32,8 +32,8 @@
 use crate::engine::Value;
 use distill_ir::inst::GepIndex;
 use distill_ir::{
-    BinOp, CastKind, CmpPred, Constant, Function, Inst, Intrinsic, Module, Terminator, Ty,
-    UnOp, ValueKind,
+    BinOp, CastKind, CmpPred, Constant, Function, Inst, Intrinsic, Module, Terminator, Ty, UnOp,
+    ValueKind,
 };
 
 /// A pre-resolved instruction operand.
@@ -529,11 +529,7 @@ fn decode_inst(func: &Function, inst: &Inst, global_base: &[usize]) -> DecodedIn
     }
 }
 
-fn decode_gep(
-    func: &Function,
-    base: &distill_ir::ValueId,
-    indices: &[GepIndex],
-) -> DecodedInst {
+fn decode_gep(func: &Function, base: &distill_ir::ValueId, indices: &[GepIndex]) -> DecodedInst {
     let base_op = operand(func, *base);
     let Ty::Ptr(pointee) = func.ty(*base) else {
         // The reference path would evaluate the base and fail on its runtime
@@ -582,7 +578,11 @@ mod tests {
         // dead block. Decoding must not panic; only execution may fail.
         use distill_ir::{BlockData, Inst, Terminator, ValueData, ValueKind};
         let mut m = Module::new("m");
-        let fid = m.declare_function("f", vec![Ty::ptr(Ty::Struct(vec![Ty::F64, Ty::I64]))], Ty::I64);
+        let fid = m.declare_function(
+            "f",
+            vec![Ty::ptr(Ty::Struct(vec![Ty::F64, Ty::I64]))],
+            Ty::I64,
+        );
         {
             let f = m.function_mut(fid);
             let base = f.param_value(0);
@@ -725,7 +725,13 @@ mod tests {
                 _ => None,
             })
             .collect();
-        assert!(gep_shapes.contains(&(1, 0)), "field step folded: {gep_shapes:?}");
-        assert!(gep_shapes.contains(&(0, 1)), "dynamic step kept: {gep_shapes:?}");
+        assert!(
+            gep_shapes.contains(&(1, 0)),
+            "field step folded: {gep_shapes:?}"
+        );
+        assert!(
+            gep_shapes.contains(&(0, 1)),
+            "dynamic step kept: {gep_shapes:?}"
+        );
     }
 }

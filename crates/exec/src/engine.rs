@@ -115,7 +115,10 @@ impl fmt::Display for ExecError {
         match self {
             ExecError::Type(m) => write!(f, "type error: {m}"),
             ExecError::OutOfBounds { addr, size } => {
-                write!(f, "memory access at slot {addr} out of bounds (size {size})")
+                write!(
+                    f,
+                    "memory access at slot {addr} out of bounds (size {size})"
+                )
             }
             ExecError::Undef(m) => write!(f, "undefined value read: {m}"),
             ExecError::DivisionByZero => write!(f, "integer division by zero"),
@@ -579,7 +582,12 @@ impl Engine {
     /// # Errors
     /// [`ExecError::UnknownGlobal`] if the global name is unknown;
     /// [`ExecError::OutOfBounds`] if `index` is outside the global.
-    pub fn write_global_i64(&mut self, name: &str, index: usize, value: i64) -> Result<(), ExecError> {
+    pub fn write_global_i64(
+        &mut self,
+        name: &str,
+        index: usize,
+        value: i64,
+    ) -> Result<(), ExecError> {
         let id = self.global_id(name)?;
         let size = self.module.global(id).ty.slot_count();
         if index >= size {
@@ -651,7 +659,12 @@ impl Engine {
     }
 
     /// The raw tier dispatch behind [`Engine::call_tier`].
-    fn dispatch_tier(&mut self, tier: Tier, func: FuncId, args: &[Value]) -> Result<Value, ExecError> {
+    fn dispatch_tier(
+        &mut self,
+        tier: Tier,
+        func: FuncId,
+        args: &[Value],
+    ) -> Result<Value, ExecError> {
         let mut fuel = self.fuel_limit;
         // Disjoint field borrows: the tier's prepared code is immutable
         // while the call mutates only `ctx`.
@@ -805,7 +818,11 @@ mod tests {
         for n in [0i64, 1, 2, 17, 100] {
             let oracle = slow.call_reference(fid, &[Value::I64(n)]);
             for tier in ALL_TIERS {
-                assert_eq!(fast.call_tier(tier, fid, &[Value::I64(n)]), oracle, "n={n} {tier}");
+                assert_eq!(
+                    fast.call_tier(tier, fid, &[Value::I64(n)]),
+                    oracle,
+                    "n={n} {tier}"
+                );
             }
         }
         assert_eq!(fast.memory_bits(), slow.memory_bits());
@@ -964,12 +981,7 @@ mod tests {
     #[test]
     fn prng_intrinsics_match_the_shared_generator() {
         let mut m = Module::new("m");
-        let g = m.add_global(
-            "rng",
-            Ty::array(Ty::I64, 1),
-            vec![Constant::I64(42)],
-            true,
-        );
+        let g = m.add_global("rng", Ty::array(Ty::I64, 1), vec![Constant::I64(42)], true);
         let tys: Vec<Ty> = m.globals.iter().map(|g| g.ty.clone()).collect();
         let fid = m.declare_function("draw", vec![], Ty::F64);
         {
@@ -1072,7 +1084,11 @@ mod tests {
         assert!(Arc::ptr_eq(&e.fused.code, &e.decoded.code));
         let args = [Value::F64(2.0), Value::F64(3.0), Value::F64(1.0)];
         assert_eq!(e.call(fid, &args), Ok(Value::F64(7.0)));
-        assert_eq!(e.stats().fused_ops, 0, "no superinstructions without fusion");
+        assert_eq!(
+            e.stats().fused_ops,
+            0,
+            "no superinstructions without fusion"
+        );
     }
 
     #[test]
@@ -1286,7 +1302,11 @@ mod tests {
             let v = b.load(p);
             b.ret(Some(v));
         });
-        assert!(fuses_to(&m, fid, |i| matches!(i, D::GepLoad { base, .. } if abs(base))));
+        assert!(fuses_to(
+            &m,
+            fid,
+            |i| matches!(i, D::GepLoad { base, .. } if abs(base))
+        ));
         let r = assert_every_tier_matches_reference(&m, fid, &[Value::I64(-1)], |_| {});
         assert_eq!(r, Err(ExecError::OutOfBounds { addr: 0, size: 4 }));
     }

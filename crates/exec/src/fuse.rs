@@ -927,7 +927,11 @@ mod tests {
     use crate::decode::decode_function;
     use distill_ir::{BinOp, CmpPred, FunctionBuilder, Module, Ty};
 
-    fn fuse_one(m: &Module, fid: distill_ir::FuncId, global_base: &[usize]) -> (DecodedFunction, FuseSummary) {
+    fn fuse_one(
+        m: &Module,
+        fid: distill_ir::FuncId,
+        global_base: &[usize],
+    ) -> (DecodedFunction, FuseSummary) {
         let d = decode_function(m.function(fid), global_base);
         let mut s = FuseSummary::default();
         let f = fuse_function(&d, &mut s);
@@ -961,7 +965,10 @@ mod tests {
         assert!(
             code.iter().any(|op| matches!(
                 op.inst,
-                DecodedInst::LoadBin { ptr: Operand::Imm(Value::Ptr(12)), .. }
+                DecodedInst::LoadBin {
+                    ptr: Operand::Imm(Value::Ptr(12)),
+                    ..
+                }
             )),
             "expected fused absolute load+add: {code:?}"
         );
@@ -971,9 +978,10 @@ mod tests {
             "expected absolute store: {code:?}"
         );
         assert!(
-            !code
-                .iter()
-                .any(|op| matches!(op.inst, DecodedInst::GlobalAddr { .. } | DecodedInst::Gep { .. })),
+            !code.iter().any(|op| matches!(
+                op.inst,
+                DecodedInst::GlobalAddr { .. } | DecodedInst::Gep { .. }
+            )),
             "addressing ops must be folded away: {code:?}"
         );
         assert!(s.fused_ops < s.decoded_ops);
@@ -1026,12 +1034,18 @@ mod tests {
         // increment specialized to a reg-imm add.
         let body = &f.blocks[2].code;
         assert!(
-            body.iter()
-                .any(|op| matches!(op.inst, DecodedInst::GepLoad { base: Operand::Imm(_), .. })),
+            body.iter().any(|op| matches!(
+                op.inst,
+                DecodedInst::GepLoad {
+                    base: Operand::Imm(_),
+                    ..
+                }
+            )),
             "{body:?}"
         );
         assert!(
-            body.iter().any(|op| matches!(op.inst, DecodedInst::BinRI { .. })),
+            body.iter()
+                .any(|op| matches!(op.inst, DecodedInst::BinRI { .. })),
             "{body:?}"
         );
     }
@@ -1135,7 +1149,11 @@ mod tests {
             f.num_values
         );
         // Params keep identity slots; the chain shares one or two locals.
-        assert!(f.num_values <= 4, "locals must share slots: {}", f.num_values);
+        assert!(
+            f.num_values <= 4,
+            "locals must share slots: {}",
+            f.num_values
+        );
         assert_eq!(s.decoded_frame_slots, d.num_values as u64);
         assert_eq!(s.fused_frame_slots, f.num_values as u64);
     }
@@ -1165,11 +1183,14 @@ mod tests {
         let (f, _) = fuse_one(&m, fid, &[0]);
         let code = &f.blocks[0].code;
         assert!(
-            code.iter().any(|op| matches!(op.inst, DecodedInst::Gep { .. })),
+            code.iter()
+                .any(|op| matches!(op.inst, DecodedInst::Gep { .. })),
             "multi-use gep must survive: {code:?}"
         );
         assert!(
-            !code.iter().any(|op| matches!(op.inst, DecodedInst::GepLoad { .. })),
+            !code
+                .iter()
+                .any(|op| matches!(op.inst, DecodedInst::GepLoad { .. })),
             "multi-use gep must not fuse: {code:?}"
         );
     }

@@ -74,7 +74,10 @@ impl EvalContext {
     /// Propagates engine failures; a kernel not returning `f64` is a type
     /// error.
     pub fn eval(&mut self, index: usize) -> Result<f64, ExecError> {
-        as_cost(self.engine.call(self.eval_func, &[Value::I64(index as i64)]))
+        as_cost(
+            self.engine
+                .call(self.eval_func, &[Value::I64(index as i64)]),
+        )
     }
 
     /// Evaluate one grid point through the **unfused** decoded path. The

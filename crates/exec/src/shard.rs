@@ -199,11 +199,17 @@ mod tests {
 
     #[test]
     fn panic_messages_cover_the_common_payloads() {
-        let caught = std::thread::spawn(|| panic!("literal payload")).join().unwrap_err();
+        let caught = std::thread::spawn(|| panic!("literal payload"))
+            .join()
+            .unwrap_err();
         assert_eq!(panic_message(&*caught), "literal payload");
-        let caught = std::thread::spawn(|| panic!("formatted {}", 7)).join().unwrap_err();
+        let caught = std::thread::spawn(|| panic!("formatted {}", 7))
+            .join()
+            .unwrap_err();
         assert_eq!(panic_message(&*caught), "formatted 7");
-        let caught = std::thread::spawn(|| std::panic::panic_any(42i32)).join().unwrap_err();
+        let caught = std::thread::spawn(|| std::panic::panic_any(42i32))
+            .join()
+            .unwrap_err();
         assert_eq!(panic_message(&*caught), "non-string panic payload");
     }
 

@@ -204,7 +204,13 @@ impl<'f> FunctionBuilder<'f> {
     /// Floating point negation.
     pub fn fneg(&mut self, val: ValueId) -> ValueId {
         let ty = self.func.ty(val).clone();
-        self.push(Inst::Un { op: UnOp::FNeg, val }, ty)
+        self.push(
+            Inst::Un {
+                op: UnOp::FNeg,
+                val,
+            },
+            ty,
+        )
     }
 
     /// Boolean negation.
@@ -358,7 +364,13 @@ impl<'f> FunctionBuilder<'f> {
 
     /// Create a phi node of type `ty` with the given incoming edges.
     pub fn phi(&mut self, ty: Ty, incoming: Vec<(BlockId, ValueId)>) -> ValueId {
-        self.push(Inst::Phi { ty: ty.clone(), incoming }, ty)
+        self.push(
+            Inst::Phi {
+                ty: ty.clone(),
+                incoming,
+            },
+            ty,
+        )
     }
 
     /// Create an empty phi node whose incoming edges are filled in later via
@@ -380,7 +392,14 @@ impl<'f> FunctionBuilder<'f> {
 
     /// Scalar cast.
     pub fn cast(&mut self, kind: CastKind, val: ValueId, to: Ty) -> ValueId {
-        self.push(Inst::Cast { kind, val, to: to.clone() }, to)
+        self.push(
+            Inst::Cast {
+                kind,
+                val,
+                to: to.clone(),
+            },
+            to,
+        )
     }
 
     /// Integer → float cast.

@@ -348,10 +348,7 @@ impl Function {
     /// Total number of instructions across all blocks in the layout
     /// (a proxy for code size used by inlining heuristics and Fig. 7).
     pub fn inst_count(&self) -> usize {
-        self.layout
-            .iter()
-            .map(|b| self.block(*b).insts.len())
-            .sum()
+        self.layout.iter().map(|b| self.block(*b).insts.len()).sum()
     }
 
     /// Apply a batch of replacements: every use of a replaced value, in

@@ -189,7 +189,12 @@ impl Module {
     }
 
     /// Define a global of the given type filled with zero-valued slots.
-    pub fn add_zeroed_global(&mut self, name: impl Into<String>, ty: Ty, mutable: bool) -> GlobalId {
+    pub fn add_zeroed_global(
+        &mut self,
+        name: impl Into<String>,
+        ty: Ty,
+        mutable: bool,
+    ) -> GlobalId {
         let init = zero_initializer(&ty);
         self.add_global(name, ty, init, mutable)
     }

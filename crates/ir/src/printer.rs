@@ -97,11 +97,23 @@ pub fn print_inst(module: &Module, func: &Function, inst: &Inst) -> String {
     let op = |v: &crate::ValueId| operand(func, *v);
     match inst {
         Inst::Bin { op: o, lhs, rhs } => {
-            format!("{} {} {}, {}", o.mnemonic(), func.ty(*lhs), op(lhs), op(rhs))
+            format!(
+                "{} {} {}, {}",
+                o.mnemonic(),
+                func.ty(*lhs),
+                op(lhs),
+                op(rhs)
+            )
         }
         Inst::Un { op: o, val } => format!("{} {} {}", o.mnemonic(), func.ty(*val), op(val)),
         Inst::Cmp { pred, lhs, rhs } => {
-            format!("{} {} {}, {}", pred.mnemonic(), func.ty(*lhs), op(lhs), op(rhs))
+            format!(
+                "{} {} {}, {}",
+                pred.mnemonic(),
+                func.ty(*lhs),
+                op(lhs),
+                op(rhs)
+            )
         }
         Inst::Select {
             cond,

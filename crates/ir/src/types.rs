@@ -237,10 +237,7 @@ mod tests {
         assert_eq!(Ty::F64.to_string(), "f64");
         assert_eq!(Ty::ptr(Ty::F64).to_string(), "f64*");
         assert_eq!(Ty::array(Ty::I64, 4).to_string(), "[4 x i64]");
-        assert_eq!(
-            Ty::Struct(vec![Ty::F64, Ty::Bool]).to_string(),
-            "{f64, i1}"
-        );
+        assert_eq!(Ty::Struct(vec![Ty::F64, Ty::Bool]).to_string(), "{f64, i1}");
     }
 
     #[test]

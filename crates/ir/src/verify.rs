@@ -25,7 +25,11 @@ pub struct VerifyError {
 
 impl fmt::Display for VerifyError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "verification of `{}` failed: {}", self.function, self.message)
+        write!(
+            f,
+            "verification of `{}` failed: {}",
+            self.function, self.message
+        )
     }
 }
 
@@ -92,9 +96,7 @@ pub fn verify_function(module: &Module, func: &Function) -> Result<(), VerifyErr
     }
     for (i, count) in scheduled.iter().enumerate() {
         if *count > 1 {
-            return Err(err(format!(
-                "value %{i} is scheduled {count} times"
-            )));
+            return Err(err(format!("value %{i} is scheduled {count} times")));
         }
     }
 
@@ -108,13 +110,12 @@ pub fn verify_function(module: &Module, func: &Function) -> Result<(), VerifyErr
             check_inst(module, func, &cfg, b, v, inst).map_err(&err)?;
         }
         match blk.term.as_ref().unwrap() {
-            Terminator::CondBr { cond, .. }
-                if *func.ty(*cond) != Ty::Bool => {
-                    return Err(err(format!(
-                        "conditional branch in {} on non-boolean {cond}",
-                        blk.name
-                    )));
-                }
+            Terminator::CondBr { cond, .. } if *func.ty(*cond) != Ty::Bool => {
+                return Err(err(format!(
+                    "conditional branch in {} on non-boolean {cond}",
+                    blk.name
+                )));
+            }
             Terminator::Ret(val) => match (val, &func.ret_ty) {
                 (None, Ty::Void) => {}
                 (Some(v), ret_ty) => {
@@ -357,8 +358,8 @@ fn check_inst(
 mod tests {
     use super::*;
     use crate::builder::FunctionBuilder;
-    use crate::inst::BinOp;
     use crate::function::ValueData;
+    use crate::inst::BinOp;
     use crate::types::Ty;
 
     fn empty_module_with(name: &str, params: Vec<Ty>, ret: Ty) -> (Module, crate::FuncId) {

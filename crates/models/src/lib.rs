@@ -74,7 +74,9 @@ pub fn necker_cube(n: usize, passes: u64) -> Workload {
     c.output_nodes = vertices.clone();
     c.trial_end = TrialEnd::AfterNPasses(passes);
     c.reset_state_each_trial = true;
-    let inputs = vec![vec![(0..n).map(|i| if i % 2 == 0 { 1.0 } else { -1.0 }).collect()]];
+    let inputs = vec![vec![(0..n)
+        .map(|i| if i % 2 == 0 { 1.0 } else { -1.0 })
+        .collect()]];
     Workload {
         model: c,
         inputs,
@@ -111,7 +113,9 @@ pub fn vectorized_necker_cube() -> Workload {
     c.input_nodes = vec![stim];
     c.output_nodes = vec![cube];
     c.trial_end = TrialEnd::AfterNPasses(50);
-    let inputs = vec![vec![(0..n).map(|i| if i % 2 == 0 { 1.0 } else { -1.0 }).collect()]];
+    let inputs = vec![vec![(0..n)
+        .map(|i| if i % 2 == 0 { 1.0 } else { -1.0 })
+        .collect()]];
     Workload {
         model: c,
         inputs,
@@ -160,32 +164,38 @@ fn predator_prey_family(levels: usize, deliberation: Option<usize>) -> Workload 
     // Player occupies elements 0..2, prey 2..4, predator 4..6 of the
     // location vector; the observers take 2-wide ports, so connect through
     // slicing probes.
-    let slice_player = c.add(Mechanism::new(
-        "slice_player",
-        NodeComputation {
-            outputs: vec![vec![E::input_elem(0, 0), E::input_elem(0, 1)]],
-            state_updates: vec![],
-        },
-    )
-    .with_inputs(vec![6]));
+    let slice_player = c.add(
+        Mechanism::new(
+            "slice_player",
+            NodeComputation {
+                outputs: vec![vec![E::input_elem(0, 0), E::input_elem(0, 1)]],
+                state_updates: vec![],
+            },
+        )
+        .with_inputs(vec![6]),
+    );
     c.connect(loc, 0, slice_player, 0, 0);
     c.connect(slice_player, 0, obs_player, 0, 0);
-    let slice_prey = c.add(Mechanism::new(
-        "slice_prey",
-        NodeComputation {
-            outputs: vec![vec![E::input_elem(0, 2), E::input_elem(0, 3)]],
-            state_updates: vec![],
-        },
-    )
-    .with_inputs(vec![6]));
-    let slice_pred = c.add(Mechanism::new(
-        "slice_predator",
-        NodeComputation {
-            outputs: vec![vec![E::input_elem(0, 4), E::input_elem(0, 5)]],
-            state_updates: vec![],
-        },
-    )
-    .with_inputs(vec![6]));
+    let slice_prey = c.add(
+        Mechanism::new(
+            "slice_prey",
+            NodeComputation {
+                outputs: vec![vec![E::input_elem(0, 2), E::input_elem(0, 3)]],
+                state_updates: vec![],
+            },
+        )
+        .with_inputs(vec![6]),
+    );
+    let slice_pred = c.add(
+        Mechanism::new(
+            "slice_predator",
+            NodeComputation {
+                outputs: vec![vec![E::input_elem(0, 4), E::input_elem(0, 5)]],
+                state_updates: vec![],
+            },
+        )
+        .with_inputs(vec![6]),
+    );
     c.connect(loc, 0, slice_prey, 0, 0);
     c.connect(loc, 0, slice_pred, 0, 0);
     c.connect(slice_prey, 0, obs_prey, 0, 0);
@@ -250,7 +260,9 @@ fn predator_prey_family(levels: usize, deliberation: Option<usize>) -> Workload 
     c.output_nodes = vec![action, objective];
     c.trial_end = TrialEnd::AfterNPasses(1);
 
-    let attn_levels: Vec<f64> = (0..levels).map(|i| i as f64 / (levels.max(2) - 1) as f64).collect();
+    let attn_levels: Vec<f64> = (0..levels)
+        .map(|i| i as f64 / (levels.max(2) - 1) as f64)
+        .collect();
     c.controller = Some(Controller {
         signals: [obs_player, obs_prey, obs_predator]
             .iter()
@@ -326,10 +338,24 @@ pub fn gpu_stress(levels: usize) -> Workload {
         ((state >> 32) as f64 / (1u64 << 31) as f64) - 1.0
     };
     let w1: Vec<f64> = (0..width * hidden).map(|_| next_w() * 0.6).collect();
-    let bank = c.add(weighted_transfer("bank", width, hidden, w1, vec![0.0; hidden], 1.0));
+    let bank = c.add(weighted_transfer(
+        "bank",
+        width,
+        hidden,
+        w1,
+        vec![0.0; hidden],
+        1.0,
+    ));
     c.connect(obs, 0, bank, 0, 0);
     let w2: Vec<f64> = (0..hidden * width).map(|_| next_w() * 0.4).collect();
-    let mix = c.add(weighted_transfer("mix", hidden, width, w2, vec![-0.5; width], 1.0));
+    let mix = c.add(weighted_transfer(
+        "mix",
+        hidden,
+        width,
+        w2,
+        vec![-0.5; width],
+        1.0,
+    ));
     c.connect(bank, 0, mix, 0, 0);
     // Objective: reconstruction quality of the mixdown against the true
     // stimulus (negated squared error, so the argmin minimizes error).
@@ -397,30 +423,36 @@ pub fn botvinick_stroop() -> Workload {
     let mut c = Composition::new("botvinick_stroop");
     // Input: [color_red, color_green, word_red, word_green, task_color, task_word]
     let stim = c.add(identity("stimulus", 6));
-    let color_slice = c.add(Mechanism::new(
-        "color_input",
-        NodeComputation {
-            outputs: vec![vec![E::input_elem(0, 0), E::input_elem(0, 1)]],
-            state_updates: vec![],
-        },
-    )
-    .with_inputs(vec![6]));
-    let word_slice = c.add(Mechanism::new(
-        "word_input",
-        NodeComputation {
-            outputs: vec![vec![E::input_elem(0, 2), E::input_elem(0, 3)]],
-            state_updates: vec![],
-        },
-    )
-    .with_inputs(vec![6]));
-    let task_slice = c.add(Mechanism::new(
-        "task_demand",
-        NodeComputation {
-            outputs: vec![vec![E::input_elem(0, 4), E::input_elem(0, 5)]],
-            state_updates: vec![],
-        },
-    )
-    .with_inputs(vec![6]));
+    let color_slice = c.add(
+        Mechanism::new(
+            "color_input",
+            NodeComputation {
+                outputs: vec![vec![E::input_elem(0, 0), E::input_elem(0, 1)]],
+                state_updates: vec![],
+            },
+        )
+        .with_inputs(vec![6]),
+    );
+    let word_slice = c.add(
+        Mechanism::new(
+            "word_input",
+            NodeComputation {
+                outputs: vec![vec![E::input_elem(0, 2), E::input_elem(0, 3)]],
+                state_updates: vec![],
+            },
+        )
+        .with_inputs(vec![6]),
+    );
+    let task_slice = c.add(
+        Mechanism::new(
+            "task_demand",
+            NodeComputation {
+                outputs: vec![vec![E::input_elem(0, 4), E::input_elem(0, 5)]],
+                state_updates: vec![],
+            },
+        )
+        .with_inputs(vec![6]),
+    );
     c.connect(stim, 0, color_slice, 0, 0);
     c.connect(stim, 0, word_slice, 0, 0);
     c.connect(stim, 0, task_slice, 0, 0);
@@ -619,7 +651,11 @@ pub fn multitasking() -> Workload {
             "readout",
             NodeComputation::scalar(E::call2(
                 distill_pyvm::MathFn::Max,
-                E::call2(distill_pyvm::MathFn::Max, E::input_elem(0, 0), E::input_elem(0, 1)),
+                E::call2(
+                    distill_pyvm::MathFn::Max,
+                    E::input_elem(0, 0),
+                    E::input_elem(0, 1),
+                ),
                 E::input_elem(0, 2),
             )),
         )
@@ -692,7 +728,11 @@ mod tests {
             let out = smoke_run(&w, 2);
             for v in out.iter().flatten() {
                 assert!(v.is_finite(), "{}: non-finite activation", w.model.name);
-                assert!((0.0..=1.0).contains(v), "{}: {v} out of [0,1]", w.model.name);
+                assert!(
+                    (0.0..=1.0).contains(v),
+                    "{}: {v} out of [0,1]",
+                    w.model.name
+                );
             }
         }
     }
@@ -709,11 +749,40 @@ mod tests {
 
     #[test]
     fn predator_prey_grid_sizes_match_the_paper() {
-        assert_eq!(predator_prey_s().model.controller.as_ref().unwrap().grid_size(), 8);
-        assert_eq!(predator_prey_m().model.controller.as_ref().unwrap().grid_size(), 64);
-        assert_eq!(predator_prey_l().model.controller.as_ref().unwrap().grid_size(), 216);
         assert_eq!(
-            predator_prey_xl().model.controller.as_ref().unwrap().grid_size(),
+            predator_prey_s()
+                .model
+                .controller
+                .as_ref()
+                .unwrap()
+                .grid_size(),
+            8
+        );
+        assert_eq!(
+            predator_prey_m()
+                .model
+                .controller
+                .as_ref()
+                .unwrap()
+                .grid_size(),
+            64
+        );
+        assert_eq!(
+            predator_prey_l()
+                .model
+                .controller
+                .as_ref()
+                .unwrap()
+                .grid_size(),
+            216
+        );
+        assert_eq!(
+            predator_prey_xl()
+                .model
+                .controller
+                .as_ref()
+                .unwrap()
+                .grid_size(),
             1_000_000
         );
     }
@@ -761,7 +830,10 @@ mod tests {
 
     #[test]
     fn figure4_lists_eight_models() {
-        let names: Vec<String> = figure4_models().iter().map(|w| w.model.name.clone()).collect();
+        let names: Vec<String> = figure4_models()
+            .iter()
+            .map(|w| w.model.name.clone())
+            .collect();
         assert_eq!(names.len(), 8);
         assert!(names.contains(&"botvinick_stroop".to_string()));
         assert!(names.contains(&"multitasking".to_string()));

@@ -111,7 +111,9 @@ pub fn run_function(func: &mut Function) -> usize {
         for i in 0..func.block(block).insts.len() {
             let v = func.block(block).insts[i];
             func.resolve_operands(v, &repl);
-            let Some(inst) = func.as_inst(v) else { continue };
+            let Some(inst) = func.as_inst(v) else {
+                continue;
+            };
             let Some(key) = key_of(inst) else { continue };
             match table.entry(key) {
                 Entry::Occupied(existing) => {

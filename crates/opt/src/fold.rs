@@ -163,10 +163,9 @@ fn fold_bin(func: &Function, op: BinOp, lhs: ValueId, rhs: ValueId) -> Option<Fo
                 return Some(Folded::Value(rhs));
             }
         }
-        BinOp::FSub
-            if is_f64_const(func, rhs, 0.0) => {
-                return Some(Folded::Value(lhs));
-            }
+        BinOp::FSub if is_f64_const(func, rhs, 0.0) => {
+            return Some(Folded::Value(lhs));
+        }
         BinOp::FMul => {
             if is_f64_const(func, rhs, 1.0) {
                 return Some(Folded::Value(lhs));
@@ -175,10 +174,9 @@ fn fold_bin(func: &Function, op: BinOp, lhs: ValueId, rhs: ValueId) -> Option<Fo
                 return Some(Folded::Value(rhs));
             }
         }
-        BinOp::FDiv
-            if is_f64_const(func, rhs, 1.0) => {
-                return Some(Folded::Value(lhs));
-            }
+        BinOp::FDiv if is_f64_const(func, rhs, 1.0) => {
+            return Some(Folded::Value(lhs));
+        }
         BinOp::Add => {
             if i64_of(func, rhs) == Some(0) {
                 return Some(Folded::Value(lhs));
@@ -187,10 +185,9 @@ fn fold_bin(func: &Function, op: BinOp, lhs: ValueId, rhs: ValueId) -> Option<Fo
                 return Some(Folded::Value(rhs));
             }
         }
-        BinOp::Sub
-            if i64_of(func, rhs) == Some(0) => {
-                return Some(Folded::Value(lhs));
-            }
+        BinOp::Sub if i64_of(func, rhs) == Some(0) => {
+            return Some(Folded::Value(lhs));
+        }
         BinOp::Mul => {
             if i64_of(func, rhs) == Some(1) {
                 return Some(Folded::Value(lhs));
@@ -202,18 +199,15 @@ fn fold_bin(func: &Function, op: BinOp, lhs: ValueId, rhs: ValueId) -> Option<Fo
                 return Some(Folded::Const(Constant::I64(0)));
             }
         }
-        BinOp::And
-            if lhs == rhs => {
-                return Some(Folded::Value(lhs));
-            }
-        BinOp::Or
-            if lhs == rhs => {
-                return Some(Folded::Value(lhs));
-            }
-        BinOp::Xor
-            if lhs == rhs => {
-                return Some(Folded::Const(Constant::I64(0)));
-            }
+        BinOp::And if lhs == rhs => {
+            return Some(Folded::Value(lhs));
+        }
+        BinOp::Or if lhs == rhs => {
+            return Some(Folded::Value(lhs));
+        }
+        BinOp::Xor if lhs == rhs => {
+            return Some(Folded::Const(Constant::I64(0)));
+        }
         _ => {}
     }
     None
@@ -404,10 +398,7 @@ mod tests {
         }
         run(&mut m);
         let f = m.function(fid);
-        assert_eq!(
-            f.as_constant(ret_value(f)),
-            Some(Constant::Bool(true))
-        );
+        assert_eq!(f.as_constant(ret_value(f)), Some(Constant::Bool(true)));
     }
 
     #[test]

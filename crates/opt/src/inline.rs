@@ -82,7 +82,12 @@ fn inline_calls(module: &mut Module, funcs: Range<usize>, opts: InlineOptions) -
     inlined
 }
 
-fn call_is_inlinable(module: &Module, caller: FuncId, callee: FuncId, opts: &InlineOptions) -> bool {
+fn call_is_inlinable(
+    module: &Module,
+    caller: FuncId,
+    callee: FuncId,
+    opts: &InlineOptions,
+) -> bool {
     if caller == callee {
         return false;
     }

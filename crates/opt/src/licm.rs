@@ -24,7 +24,9 @@ pub fn run_function(module_globals_immutable: &[bool], func: &mut Function) -> u
         let mut hoisted_this_round = 0;
 
         for lp in &loops {
-            let Some(preheader) = lp.preheader(&cfg) else { continue };
+            let Some(preheader) = lp.preheader(&cfg) else {
+                continue;
+            };
             // A loop containing stores or calls may clobber memory; in that
             // case loads are not hoisted (arithmetic still is).
             let mut loop_writes_memory = false;
@@ -62,18 +64,16 @@ pub fn run_function(module_globals_immutable: &[bool], func: &mut Function) -> u
                         if hoisted_set.contains(&v) {
                             continue;
                         }
-                        let Some(inst) = func.as_inst(v) else { continue };
-                        if !is_hoistable(
-                            func,
-                            inst,
-                            module_globals_immutable,
-                            loop_writes_memory,
-                        ) {
+                        let Some(inst) = func.as_inst(v) else {
+                            continue;
+                        };
+                        if !is_hoistable(func, inst, module_globals_immutable, loop_writes_memory) {
                             continue;
                         }
-                        let invariant = inst.operands().iter().all(|op| {
-                            !defined_in_loop.contains(op) || hoisted_set.contains(op)
-                        });
+                        let invariant = inst
+                            .operands()
+                            .iter()
+                            .all(|op| !defined_in_loop.contains(op) || hoisted_set.contains(op));
                         if invariant {
                             to_hoist.push(v);
                             hoisted_set.insert(v);
@@ -225,10 +225,7 @@ mod tests {
         distill_ir::verify::verify_module(&m).unwrap();
         // The entry (preheader) now contains the hoisted instructions.
         let f = m.function(fid);
-        assert!(f
-            .block(distill_ir::BlockId::from_index(0))
-            .insts
-            .len() >= 3);
+        assert!(f.block(distill_ir::BlockId::from_index(0)).insts.len() >= 3);
     }
 
     #[test]

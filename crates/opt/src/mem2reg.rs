@@ -80,10 +80,8 @@ pub fn run_function(func: &mut Function) -> usize {
     let undef = func.add_constant(Constant::Undef);
 
     // Current reaching definition per alloca, managed as a stack of scopes.
-    let mut current: HashMap<ValueId, Vec<ValueId>> = candidates
-        .keys()
-        .map(|&a| (a, vec![undef]))
-        .collect();
+    let mut current: HashMap<ValueId, Vec<ValueId>> =
+        candidates.keys().map(|&a| (a, vec![undef])).collect();
 
     let mut repl = Replacements::default();
     rename_block(
@@ -203,7 +201,9 @@ fn promotable_allocas(func: &Function) -> BTreeMap<ValueId, Ty> {
     // Disqualify any alloca that escapes.
     for b in func.block_order() {
         for &v in &func.block(b).insts {
-            let Some(inst) = func.as_inst(v) else { continue };
+            let Some(inst) = func.as_inst(v) else {
+                continue;
+            };
             match inst {
                 Inst::Load { .. } => {}
                 Inst::Store { ptr, value } => {
@@ -243,7 +243,9 @@ fn dominance_frontiers(
         if preds.len() < 2 {
             continue;
         }
-        let Some(idom_b) = dom.idom_of(b) else { continue };
+        let Some(idom_b) = dom.idom_of(b) else {
+            continue;
+        };
         for &p in preds {
             if !cfg.is_reachable(p) {
                 continue;
@@ -319,7 +321,10 @@ mod tests {
             for &v in &f.block(b).insts {
                 let inst = f.as_inst(v).unwrap();
                 assert!(
-                    !matches!(inst, Inst::Alloca { .. } | Inst::Load { .. } | Inst::Store { .. }),
+                    !matches!(
+                        inst,
+                        Inst::Alloca { .. } | Inst::Load { .. } | Inst::Store { .. }
+                    ),
                     "memory op survived mem2reg"
                 );
             }

@@ -363,7 +363,10 @@ mod tests {
 
     #[test]
     fn rng_detection() {
-        let e = Expr::add(Expr::input(0), Expr::mul(Expr::param("noise"), Expr::RandNormal));
+        let e = Expr::add(
+            Expr::input(0),
+            Expr::mul(Expr::param("noise"), Expr::RandNormal),
+        );
         assert!(e.uses_rng());
     }
 
@@ -384,7 +387,10 @@ mod tests {
 
     #[test]
     fn input_refs_deduplicate() {
-        let e = Expr::add(Expr::input_elem(1, 2), Expr::mul(Expr::input_elem(1, 2), Expr::input(0)));
+        let e = Expr::add(
+            Expr::input_elem(1, 2),
+            Expr::mul(Expr::input_elem(1, 2), Expr::input(0)),
+        );
         assert_eq!(e.input_refs(), vec![(1, 2), (0, 0)]);
     }
 }

@@ -252,8 +252,7 @@ impl Interpreter {
                 let entry = self.pypy_traces.entry(site).or_insert(0);
                 *entry += growth;
                 self.stats.trace_bytes += growth;
-                if self.mode == ExecMode::PyPy && self.stats.trace_bytes > self.trace_budget_bytes
-                {
+                if self.mode == ExecMode::PyPy && self.stats.trace_bytes > self.trace_budget_bytes {
                     return Err(PyVmError::OutOfMemory {
                         needed_bytes: self.stats.trace_bytes,
                         budget_bytes: self.trace_budget_bytes,

@@ -22,8 +22,7 @@ use distill_serve::{run_open_loop, ServeConfig, Server, TrafficConfig};
 /// Parse a chrome trace export and require well-formed events plus at least
 /// one event per `required` name. Panics (non-zero exit) on any violation.
 fn validate_trace(path: &str, required: &[&str]) -> usize {
-    let text = std::fs::read_to_string(path)
-        .unwrap_or_else(|e| panic!("reading {path}: {e}"));
+    let text = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("reading {path}: {e}"));
     let root = Json::parse(&text).unwrap_or_else(|e| panic!("{path} is not valid JSON: {e}"));
     let events = root
         .get("traceEvents")
@@ -33,12 +32,27 @@ fn validate_trace(path: &str, required: &[&str]) -> usize {
     for ev in events {
         let ph = ev.get("ph").and_then(Json::as_str).expect("event has ph");
         assert!(ph == "X" || ph == "i", "unexpected phase {ph:?}");
-        assert!(ev.get("name").and_then(Json::as_str).is_some(), "event has name");
-        assert!(ev.get("ts").and_then(Json::as_f64).is_some(), "event has ts");
-        assert!(ev.get("pid").and_then(Json::as_f64).is_some(), "event has pid");
-        assert!(ev.get("tid").and_then(Json::as_f64).is_some(), "event has tid");
+        assert!(
+            ev.get("name").and_then(Json::as_str).is_some(),
+            "event has name"
+        );
+        assert!(
+            ev.get("ts").and_then(Json::as_f64).is_some(),
+            "event has ts"
+        );
+        assert!(
+            ev.get("pid").and_then(Json::as_f64).is_some(),
+            "event has pid"
+        );
+        assert!(
+            ev.get("tid").and_then(Json::as_f64).is_some(),
+            "event has tid"
+        );
         if ph == "X" {
-            assert!(ev.get("dur").and_then(Json::as_f64).is_some(), "span has dur");
+            assert!(
+                ev.get("dur").and_then(Json::as_f64).is_some(),
+                "span has dur"
+            );
         }
     }
     for name in required {
@@ -117,12 +131,17 @@ fn main() {
         for ticket in tickets {
             let start = ticket.start();
             let served = ticket.wait().expect("serve failed");
-            let solo = server.run_solo(family, start, 4).expect("solo rerun failed");
+            let solo = server
+                .run_solo(family, start, 4)
+                .expect("solo rerun failed");
             assert_eq!(
                 served.outputs, solo.outputs,
                 "coalesced response diverged from solo run for {family}"
             );
-            assert_eq!(served.passes, solo.passes, "pass counts diverged for {family}");
+            assert_eq!(
+                served.passes, solo.passes,
+                "pass counts diverged for {family}"
+            );
             checked += 1;
         }
     }
@@ -172,7 +191,10 @@ fn main() {
         let path = "bench_results/trace_serve.json";
         let events = distill_telemetry::write_chrome_trace(path).expect("trace export");
         let parsed = validate_trace(path, &["serve.chunk"]);
-        assert_eq!(parsed, events, "export and re-parse disagree on event count");
+        assert_eq!(
+            parsed, events,
+            "export and re-parse disagree on event count"
+        );
         println!("serve smoke trace: {events} event(s) -> {path} (valid trace_event JSON)");
     }
 }

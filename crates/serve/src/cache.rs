@@ -142,7 +142,10 @@ impl ArtifactCache {
         }
         self.stats.misses += 1;
 
-        let path = self.disk_dir.as_ref().map(|d| d.join(format!("{key}.dstl")));
+        let path = self
+            .disk_dir
+            .as_ref()
+            .map(|d| d.join(format!("{key}.dstl")));
         let mut refresh_disk = path.is_some();
         let mut loaded = None;
         if let Some(path) = &path {
@@ -203,7 +206,10 @@ mod tests {
 
     fn family() -> (&'static str, Composition) {
         let spec = distill_models::by_name("necker_cube_3").unwrap();
-        ("necker_cube_3", spec.build(distill_models::Scale::Reduced).model)
+        (
+            "necker_cube_3",
+            spec.build(distill_models::Scale::Reduced).model,
+        )
     }
 
     fn config(opt: OptLevel) -> CompileConfig {
@@ -217,13 +223,19 @@ mod tests {
     fn hits_misses_and_mru_order() {
         let (name, model) = family();
         let mut cache = ArtifactCache::new(4);
-        let a = cache.get_or_compile(name, &model, config(OptLevel::O0)).unwrap();
-        let b = cache.get_or_compile(name, &model, config(OptLevel::O2)).unwrap();
+        let a = cache
+            .get_or_compile(name, &model, config(OptLevel::O0))
+            .unwrap();
+        let b = cache
+            .get_or_compile(name, &model, config(OptLevel::O2))
+            .unwrap();
         assert_eq!(cache.stats().misses, 2);
         assert_eq!(cache.stats().hits, 0);
 
         // A repeat lookup hits, returns the same Arc and moves to the front.
-        let a2 = cache.get_or_compile(name, &model, config(OptLevel::O0)).unwrap();
+        let a2 = cache
+            .get_or_compile(name, &model, config(OptLevel::O0))
+            .unwrap();
         assert!(Arc::ptr_eq(&a, &a2));
         assert!(!Arc::ptr_eq(&a, &b));
         assert_eq!(cache.stats().hits, 1);
@@ -236,17 +248,27 @@ mod tests {
     fn lru_evicts_least_recently_used() {
         let (name, model) = family();
         let mut cache = ArtifactCache::new(2);
-        cache.get_or_compile(name, &model, config(OptLevel::O0)).unwrap();
-        cache.get_or_compile(name, &model, config(OptLevel::O1)).unwrap();
+        cache
+            .get_or_compile(name, &model, config(OptLevel::O0))
+            .unwrap();
+        cache
+            .get_or_compile(name, &model, config(OptLevel::O1))
+            .unwrap();
         // Touch O0 so O1 becomes the LRU entry, then insert a third config.
-        cache.get_or_compile(name, &model, config(OptLevel::O0)).unwrap();
-        cache.get_or_compile(name, &model, config(OptLevel::O2)).unwrap();
+        cache
+            .get_or_compile(name, &model, config(OptLevel::O0))
+            .unwrap();
+        cache
+            .get_or_compile(name, &model, config(OptLevel::O2))
+            .unwrap();
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.stats().evictions, 1);
         let keys = cache.keys();
         assert!(keys[0].contains("O2") && keys[1].contains("O0"), "{keys:?}");
         // The evicted config is a miss again.
-        cache.get_or_compile(name, &model, config(OptLevel::O1)).unwrap();
+        cache
+            .get_or_compile(name, &model, config(OptLevel::O1))
+            .unwrap();
         assert_eq!(cache.stats().misses, 4);
     }
 
@@ -288,7 +310,10 @@ mod tests {
             assert_eq!(cache.stats().disk_hits, 0);
             assert_eq!(cache.stats().disk_stale, 1);
         }
-        assert!(distill::read_artifact(&path).is_ok(), "stale file rewritten");
+        assert!(
+            distill::read_artifact(&path).is_ok(),
+            "stale file rewritten"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -322,8 +347,16 @@ mod tests {
             let mut cache = ArtifactCache::with_disk(2, dir.clone());
             let artifact = cache.get_or_compile(name, &model, cfg).unwrap();
             assert_eq!(artifact.config, cfg, "{label}");
-            assert_eq!(cache.stats().disk_hits, 0, "{label}: corrupt file must not hit");
-            assert_eq!(cache.stats().disk_stale, 1, "{label}: counted as disk_stale");
+            assert_eq!(
+                cache.stats().disk_hits,
+                0,
+                "{label}: corrupt file must not hit"
+            );
+            assert_eq!(
+                cache.stats().disk_stale,
+                1,
+                "{label}: counted as disk_stale"
+            );
             // Overwritten: a fresh cache now disk-hits again.
             let mut fresh = ArtifactCache::with_disk(2, dir.clone());
             fresh.get_or_compile(name, &model, cfg).unwrap();

@@ -647,7 +647,11 @@ impl Inner {
         let mut flats: Vec<Vec<f64>> = workload
             .inputs
             .iter()
-            .map(|input| artifact.layout.flatten_input(&workload.model.input_nodes, input))
+            .map(|input| {
+                artifact
+                    .layout
+                    .flatten_input(&workload.model.input_nodes, input)
+            })
             .collect();
         if flats.is_empty() {
             // No registered inputs: every trial reads a zeroed input image.
@@ -748,7 +752,10 @@ fn pack_next_span(st: &mut State, inner: &Inner) -> bool {
         let span = pack_lane_span(&mut st.lanes[li], li, inner.config.span_cap);
         inner.counters.spans.fetch_add(1, Ordering::Relaxed);
         if span.coalesced {
-            inner.counters.coalesced_spans.fetch_add(1, Ordering::Relaxed);
+            inner
+                .counters
+                .coalesced_spans
+                .fetch_add(1, Ordering::Relaxed);
         }
         if telemetry::enabled() {
             let p = serve_probes();
@@ -992,7 +999,9 @@ fn finish_span(inner: &Inner, span: &SpanJob, work: &mut MutexGuard<'_, SpanWork
             .find(|(r, _)| rel < r.end && r.start < rel + seg.trials);
         match hit {
             Some((_, msg)) => {
-                let _ = seg.tx.send(Part::Err(ServeError::WorkerPanicked(msg.clone())));
+                let _ = seg
+                    .tx
+                    .send(Part::Err(ServeError::WorkerPanicked(msg.clone())));
             }
             None => requeue.push(seg),
         }
@@ -1076,11 +1085,13 @@ mod tests {
     fn unknown_family_and_empty_request_are_rejected() {
         let srv = server(1, 4);
         assert_eq!(
-            srv.submit(TrialRequest::new("no_such_family", 3)).unwrap_err(),
+            srv.submit(TrialRequest::new("no_such_family", 3))
+                .unwrap_err(),
             ServeError::UnknownFamily("no_such_family".into())
         );
         assert_eq!(
-            srv.submit(TrialRequest::new("necker_cube_3", 0)).unwrap_err(),
+            srv.submit(TrialRequest::new("necker_cube_3", 0))
+                .unwrap_err(),
             ServeError::EmptyRequest
         );
     }
@@ -1179,7 +1190,11 @@ mod tests {
         assert_eq!(c.outputs, solo.outputs);
         assert_eq!(c.passes, solo.passes);
         assert_eq!(c.outputs[..5], a.outputs[..]);
-        assert_eq!(oversized.stats().batch_calls, 2, "70 trials in windows of 64");
+        assert_eq!(
+            oversized.stats().batch_calls,
+            2,
+            "70 trials in windows of 64"
+        );
     }
 
     #[test]

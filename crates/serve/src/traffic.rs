@@ -147,7 +147,8 @@ fn backoff(config: &TrafficConfig, request: usize, attempt: u32) -> Duration {
         .wrapping_add(attempt as u64);
     let jitter = 1.0 + (distill::chaos::splitmix64(&mut s) % 1024) as f64 / 1024.0;
     let base = config.retry_base.max(Duration::from_micros(1));
-    base.saturating_mul(1u32 << (attempt - 1).min(16)).mul_f64(jitter)
+    base.saturating_mul(1u32 << (attempt - 1).min(16))
+        .mul_f64(jitter)
 }
 
 /// What one client thread produced: completed records (tagged with their
@@ -162,9 +163,15 @@ type ClientOutcome = (Vec<(usize, RequestRecord)>, Vec<FailedRequest>, u64);
 /// Only config-level preflight failures (an unknown family); request-level
 /// errors never abort the run.
 pub fn run_open_loop(server: &Server, config: &TrafficConfig) -> Result<TrafficReport, ServeError> {
-    assert!(!config.families.is_empty(), "traffic needs at least one family");
+    assert!(
+        !config.families.is_empty(),
+        "traffic needs at least one family"
+    );
     assert!(config.clients > 0, "traffic needs at least one client");
-    assert!(config.max_attempts > 0, "traffic needs at least one attempt");
+    assert!(
+        config.max_attempts > 0,
+        "traffic needs at least one attempt"
+    );
     // Compile every lane up front so the measurement is steady-state
     // serving, not first-request compilation.
     for family in &config.families {
@@ -390,7 +397,11 @@ mod tests {
     fn backoff_is_seeded_and_monotone_in_attempts() {
         let config = TrafficConfig::default();
         assert_eq!(backoff(&config, 3, 1), backoff(&config, 3, 1));
-        assert_ne!(backoff(&config, 3, 1), backoff(&config, 4, 1), "jitter varies by request");
+        assert_ne!(
+            backoff(&config, 3, 1),
+            backoff(&config, 4, 1),
+            "jitter varies by request"
+        );
         // Exponential envelope: attempt k+2 always exceeds attempt k
         // (jitter spans [1, 2), the base doubles).
         for k in 1..6u32 {

@@ -21,16 +21,13 @@
 
 use criterion::json::Json;
 use distill::{RunSpec, Session};
-use distill_sweep::{
-    dsweep_family, outputs_bits_equal, DsweepConfig, FaultPlan, ANCHOR_FAMILY,
-};
 use distill_models::registry;
+use distill_sweep::{dsweep_family, outputs_bits_equal, DsweepConfig, FaultPlan, ANCHOR_FAMILY};
 
 /// Parse a chrome trace export and require well-formed events plus at least
 /// one event per `required` name. Panics (non-zero exit) on any violation.
 fn validate_trace(path: &str, required: &[&str]) -> usize {
-    let text = std::fs::read_to_string(path)
-        .unwrap_or_else(|e| panic!("reading {path}: {e}"));
+    let text = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("reading {path}: {e}"));
     let root = Json::parse(&text).unwrap_or_else(|e| panic!("{path} is not valid JSON: {e}"));
     let events = root
         .get("traceEvents")
@@ -40,12 +37,27 @@ fn validate_trace(path: &str, required: &[&str]) -> usize {
     for ev in events {
         let ph = ev.get("ph").and_then(Json::as_str).expect("event has ph");
         assert!(ph == "X" || ph == "i", "unexpected phase {ph:?}");
-        assert!(ev.get("name").and_then(Json::as_str).is_some(), "event has name");
-        assert!(ev.get("ts").and_then(Json::as_f64).is_some(), "event has ts");
-        assert!(ev.get("pid").and_then(Json::as_f64).is_some(), "event has pid");
-        assert!(ev.get("tid").and_then(Json::as_f64).is_some(), "event has tid");
+        assert!(
+            ev.get("name").and_then(Json::as_str).is_some(),
+            "event has name"
+        );
+        assert!(
+            ev.get("ts").and_then(Json::as_f64).is_some(),
+            "event has ts"
+        );
+        assert!(
+            ev.get("pid").and_then(Json::as_f64).is_some(),
+            "event has pid"
+        );
+        assert!(
+            ev.get("tid").and_then(Json::as_f64).is_some(),
+            "event has tid"
+        );
         if ph == "X" {
-            assert!(ev.get("dur").and_then(Json::as_f64).is_some(), "span has dur");
+            assert!(
+                ev.get("dur").and_then(Json::as_f64).is_some(),
+                "span has dur"
+            );
         }
     }
     for name in required {
@@ -89,8 +101,8 @@ fn main() {
         .expect("serial run");
 
     let report = dsweep_family(ANCHOR_FAMILY, &cfg).expect("distributed sweep");
-    let identical = outputs_bits_equal(&serial.outputs, &report.outputs)
-        && serial.passes == report.passes;
+    let identical =
+        outputs_bits_equal(&serial.outputs, &report.outputs) && serial.passes == report.passes;
 
     println!(
         "dsweep_smoke: family={} mode={} workers={}/{} leases={} reissued={} \
@@ -149,7 +161,10 @@ fn main() {
         }
         let events = distill_telemetry::write_chrome_trace(path).expect("trace export");
         let parsed = validate_trace(path, &required);
-        assert_eq!(parsed, events, "export and re-parse disagree on event count");
+        assert_eq!(
+            parsed, events,
+            "export and re-parse disagree on event count"
+        );
         println!("dsweep_smoke trace: {events} event(s) -> {path} (valid trace_event JSON)");
     }
     println!("dsweep_smoke: PASS");

@@ -34,13 +34,12 @@
 use crate::probes::{dsweep_probes, record_reissue};
 use crate::proto::{self, FaultPlan, Job, Msg, ProtoError};
 use crate::worker::{worker_main, WorkerCtx};
-use distill_telemetry::{self as telemetry, ArgValue};
-use distill::{
-    compile, serialize_artifact, CompileConfig, DistillError, RunSpec, Runner, Session,
-    ShardStats,
-};
 use distill::ChunkQueue;
+use distill::{
+    compile, serialize_artifact, CompileConfig, DistillError, RunSpec, Runner, Session, ShardStats,
+};
 use distill_models::{registry, Scale};
+use distill_telemetry::{self as telemetry, ArgValue};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -447,9 +446,7 @@ pub fn dsweep_family(family: &str, cfg: &DsweepConfig) -> Result<DsweepReport, D
 
         // If nobody is alive and nobody can still connect, degrade.
         let alive = slots.iter().filter(|s| s.alive).count();
-        if alive == 0
-            && (report.workers_connected >= spawned || started.elapsed() > hello_grace)
-        {
+        if alive == 0 && (report.workers_connected >= spawned || started.elapsed() > hello_grace) {
             break;
         }
 
@@ -565,8 +562,7 @@ pub fn dsweep_family(family: &str, cfg: &DsweepConfig) -> Result<DsweepReport, D
         .map(|(i, _)| i)
         .collect();
     if !remaining.is_empty() {
-        let mut runner: Box<dyn Runner> =
-            Session::new(&w.model).build_with(artifact.clone())?;
+        let mut runner: Box<dyn Runner> = Session::new(&w.model).build_with(artifact.clone())?;
         for li in remaining {
             let lease = &leases[li];
             let spec = RunSpec::new(w.inputs.clone(), lease.count)

@@ -165,8 +165,7 @@ impl SweepReport {
 pub fn outputs_bits_equal(a: &[Vec<f64>], b: &[Vec<f64>]) -> bool {
     a.len() == b.len()
         && a.iter().zip(b).all(|(x, y)| {
-            x.len() == y.len()
-                && x.iter().zip(y).all(|(u, v)| u.to_bits() == v.to_bits())
+            x.len() == y.len() && x.iter().zip(y).all(|(u, v)| u.to_bits() == v.to_bits())
         })
 }
 
@@ -223,14 +222,20 @@ pub fn sweep_workload(
 
     // --- serial vs sharded-batched trial throughput ------------------------
     let serial_spec = RunSpec::new(w.inputs.clone(), trials);
-    let (serial_s, serial, _) =
-        timed_run(Session::new(&w.model).compile_config(cfg.compile), &artifact, &serial_spec)?;
+    let (serial_s, serial, _) = timed_run(
+        Session::new(&w.model).compile_config(cfg.compile),
+        &artifact,
+        &serial_spec,
+    )?;
     let sharded_spec = serial_spec
         .clone()
         .with_batch(cfg.batch)
         .with_shards(cfg.threads);
-    let (sharded_s, sharded, _) =
-        timed_run(Session::new(&w.model).compile_config(cfg.compile), &artifact, &sharded_spec)?;
+    let (sharded_s, sharded, _) = timed_run(
+        Session::new(&w.model).compile_config(cfg.compile),
+        &artifact,
+        &sharded_spec,
+    )?;
     let identical =
         outputs_bits_equal(&serial.outputs, &sharded.outputs) && serial.passes == sharded.passes;
     let shard_stats = sharded.shards;
@@ -292,8 +297,7 @@ pub fn sweep_workload(
                 cell.result = Ok(seconds);
                 if matches!(kind, TargetKind::MultiCore | TargetKind::Gpu) {
                     cell.matches_serial = reference.map(|r| {
-                        outputs_bits_equal(&r.outputs, &result.outputs)
-                            && r.passes == result.passes
+                        outputs_bits_equal(&r.outputs, &result.outputs) && r.passes == result.passes
                     });
                 }
                 if let Some(grid) = &result.grid {
@@ -376,7 +380,10 @@ mod tests {
             registry::by_tag(Tag::Sweep).len(),
             "one report per swept family"
         );
-        assert!(report.all_identical(), "sharded must equal serial: {report:?}");
+        assert!(
+            report.all_identical(),
+            "sharded must equal serial: {report:?}"
+        );
         for w in &report.workloads {
             assert!(w.serial_s > 0.0 && w.sharded_s > 0.0);
             assert_eq!(w.trials, 9);
@@ -413,6 +420,10 @@ mod tests {
         // the ISA cap, which is where the Fig. 6 throttle trade-off lives.
         assert!(regs >= 200, "expected a register-heavy kernel, got {regs}");
         assert!(gpu.occupancy.unwrap() > 0.0);
-        assert_eq!(gpu.matches_serial, Some(true), "gpu grid diverged from single-core");
+        assert_eq!(
+            gpu.matches_serial,
+            Some(true),
+            "gpu grid diverged from single-core"
+        );
     }
 }

@@ -606,7 +606,10 @@ mod tests {
     #[test]
     fn every_message_round_trips() {
         let msgs = [
-            Msg::Hello { worker: 3, pid: 12345 },
+            Msg::Hello {
+                worker: 3,
+                pid: 12345,
+            },
             Msg::Job(Job {
                 family: "predator_prey_2".into(),
                 scale_full: false,
@@ -656,7 +659,10 @@ mod tests {
     fn garbled_frames_are_detected() {
         let mut buf = Vec::new();
         write_msg_garbled(&mut buf, &sample_result()).unwrap();
-        assert!(matches!(read_msg(&mut &buf[..]), Err(ProtoError::Corrupt(_))));
+        assert!(matches!(
+            read_msg(&mut &buf[..]),
+            Err(ProtoError::Corrupt(_))
+        ));
     }
 
     #[test]
@@ -683,7 +689,10 @@ mod tests {
         let mut buf = Vec::new();
         write_msg(&mut buf, &Msg::Shutdown).unwrap();
         buf.truncate(6);
-        assert!(matches!(read_msg(&mut &buf[..]), Err(ProtoError::Corrupt(_))));
+        assert!(matches!(
+            read_msg(&mut &buf[..]),
+            Err(ProtoError::Corrupt(_))
+        ));
     }
 
     #[test]

@@ -15,9 +15,7 @@
 //! fault) and an in-process thread the coordinator falls back to when no
 //! binary can be spawned (same protocol over the same socket, soft exit).
 
-use crate::proto::{
-    self, Msg, ProtoError, WorkerFaults, HEARTBEAT_INTERVAL_MS,
-};
+use crate::proto::{self, Msg, ProtoError, WorkerFaults, HEARTBEAT_INTERVAL_MS};
 use distill::{deserialize_artifact, RunSpec, Runner, Session, ShardStats};
 use distill_models::{registry, Scale};
 use std::os::unix::net::UnixStream;
@@ -50,13 +48,14 @@ fn die(ctx: &WorkerCtx) -> Result<(), String> {
 /// the coordinator only ever observes them as a closed connection.
 pub fn worker_main(stream: UnixStream, ctx: WorkerCtx) -> Result<(), String> {
     let mut reader = stream;
-    let writer = Arc::new(Mutex::new(
-        reader.try_clone().map_err(|e| e.to_string())?,
-    ));
-    send(&writer, &Msg::Hello {
-        worker: ctx.worker,
-        pid: std::process::id() as u64,
-    })?;
+    let writer = Arc::new(Mutex::new(reader.try_clone().map_err(|e| e.to_string())?));
+    send(
+        &writer,
+        &Msg::Hello {
+            worker: ctx.worker,
+            pid: std::process::id() as u64,
+        },
+    )?;
 
     // The job arrives first; heartbeats only start once we know the fault
     // plan's heartbeat delay.
@@ -68,10 +67,14 @@ pub fn worker_main(stream: UnixStream, ctx: WorkerCtx) -> Result<(), String> {
 
     let spec = registry::by_name(&job.family)
         .ok_or_else(|| format!("unknown model family '{}'", job.family))?;
-    let scale = if job.scale_full { Scale::Full } else { Scale::Reduced };
+    let scale = if job.scale_full {
+        Scale::Full
+    } else {
+        Scale::Reduced
+    };
     let w = spec.build(scale);
-    let artifact = deserialize_artifact(&job.artifact)
-        .map_err(|e| format!("artifact rejected: {e}"))?;
+    let artifact =
+        deserialize_artifact(&job.artifact).map_err(|e| format!("artifact rejected: {e}"))?;
     let mut runner: Box<dyn Runner> = Session::new(&w.model)
         .build_with(artifact)
         .map_err(|e| format!("building runner: {e}"))?;
@@ -85,7 +88,11 @@ pub fn worker_main(stream: UnixStream, ctx: WorkerCtx) -> Result<(), String> {
     let mut garbled = false;
     let outcome = loop {
         match proto::read_msg(&mut reader) {
-            Ok(Msg::Lease { start, count, epoch }) => {
+            Ok(Msg::Lease {
+                start,
+                count,
+                epoch,
+            }) => {
                 if faults.kill_after.is_some_and(|k| completed >= k) {
                     die(&ctx)?;
                     break Ok(());

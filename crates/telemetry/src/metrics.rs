@@ -275,10 +275,7 @@ impl TelemetrySnapshot {
 
     /// Level of the gauge named `name`, if registered.
     pub fn gauge(&self, name: &str) -> Option<i64> {
-        self.gauges
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|&(_, v)| v)
+        self.gauges.iter().find(|(n, _)| n == name).map(|&(_, v)| v)
     }
 
     /// Frozen view of the histogram named `name`, if registered.

@@ -30,7 +30,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     opts.param_ranges.insert(0, vrp::Interval::new(-8.0, 8.0));
     let ranges = vrp::analyze_function(m.function(fid), &opts);
     let ret = m.function(fid).values.len() - 1;
-    println!("VRP: logistic output range = {}", ranges[&distill_ir::ValueId::from_index(ret)]);
+    println!(
+        "VRP: logistic output range = {}",
+        ranges[&distill_ir::ValueId::from_index(ret)]
+    );
 
     // --- SCEV: DDM convergence time (§4.2) -----------------------------------
     let steps = analysis::scev::ddm_expected_steps(0.0, 1.0, 0.01, 1.0);
@@ -51,7 +54,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             let sq = b.fmul(d, d);
             b.ret(Some(sq));
         }
-        analysis::refine(m.function(fid), 0, 0.0, 5.0, &[], analysis::MeshOptions::default())
+        analysis::refine(
+            m.function(fid),
+            0,
+            0.0,
+            5.0,
+            &[],
+            analysis::MeshOptions::default(),
+        )
     };
     println!(
         "Mesh refinement: optimal attention ~= {:.3} after {} rounds ({} interval evaluations)",

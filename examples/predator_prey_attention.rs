@@ -29,7 +29,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("3 trials (serial, whole-model): {:?}", t.elapsed());
     println!("actions + objective per trial: {:?}", result.outputs);
 
-    let threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4);
+    let threads = std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(4);
     let mut mcpu = session
         .clone()
         .target(Target::MultiCore { threads })

@@ -19,7 +19,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     model.input_nodes = vec![input];
     model.output_nodes = vec![squash];
 
-    let inputs = vec![vec![vec![0.1, -0.4, 1.2, 0.0]], vec![vec![0.9, 0.3, -1.0, 2.0]]];
+    let inputs = vec![
+        vec![vec![0.1, -0.4, 1.2, 0.0]],
+        vec![vec![0.9, 0.3, -1.0, 2.0]],
+    ];
     let trials = 2000;
     let spec = RunSpec::new(inputs, trials);
 
@@ -44,8 +47,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let batched = batched_runner.run(&spec.clone().with_batch(64))?;
     let batched_time = t.elapsed();
 
-    assert_eq!(baseline.outputs, compiled.outputs, "both paths compute the same model");
-    assert_eq!(compiled.outputs, batched.outputs, "batching changes nothing but speed");
+    assert_eq!(
+        baseline.outputs, compiled.outputs,
+        "both paths compute the same model"
+    );
+    assert_eq!(
+        compiled.outputs, batched.outputs,
+        "batching changes nothing but speed"
+    );
     println!("baseline (CPython-style): {baseline_time:?} for {trials} trials");
     println!("Distill (whole-model):    {distill_time:?} for {trials} trials");
     println!("Distill (batch=64):       {batched_time:?} for {trials} trials");

@@ -3,9 +3,7 @@
 //! Fig. 4 appear in the right places — all through the `Session`/`Runner`
 //! API.
 
-use distill::{
-    CompileMode, DistillError, ExecMode, GpuConfig, RunSpec, Session, Target,
-};
+use distill::{CompileMode, DistillError, ExecMode, GpuConfig, RunSpec, Session, Target};
 use distill_models::*;
 
 /// Bitwise equality of every trial output (the invariant is bit-identity,

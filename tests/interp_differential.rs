@@ -143,8 +143,16 @@ fn differential_whole_model(w: &Workload, config: CompileConfig, trials: usize) 
             .map(|o| o.iter().map(|v| v.to_bits()).collect())
             .collect();
         let batch = spec.batch;
-        assert_eq!(bits, reference_bits, "{}: batch {batch} outputs", w.model.name);
-        assert_eq!(r.passes, reference_passes, "{}: batch {batch} passes", w.model.name);
+        assert_eq!(
+            bits, reference_bits,
+            "{}: batch {batch} outputs",
+            w.model.name
+        );
+        assert_eq!(
+            r.passes, reference_passes,
+            "{}: batch {batch} passes",
+            w.model.name
+        );
     }
 }
 
@@ -319,10 +327,7 @@ fn phi_missing_edge_errors_identically() {
     let mut fast = Engine::new(m.clone());
     let mut slow = Engine::new(m);
     // The good edge works on both paths.
-    assert_eq!(
-        fast.call(fid, &[Value::Bool(true)]),
-        Ok(Value::I64(1))
-    );
+    assert_eq!(fast.call(fid, &[Value::Bool(true)]), Ok(Value::I64(1)));
     assert_eq!(
         slow.call_reference(fid, &[Value::Bool(true)]),
         Ok(Value::I64(1))
@@ -433,8 +438,7 @@ fn frame_pool_reuse_keeps_nested_calls_correct() {
     let caller = m.declare_function("caller", vec![Ty::F64], Ty::F64);
     {
         let f = m.function_mut(caller);
-        let mut b =
-            FunctionBuilder::new(f).with_signatures(vec![(vec![Ty::F64], Ty::F64); 2]);
+        let mut b = FunctionBuilder::new(f).with_signatures(vec![(vec![Ty::F64], Ty::F64); 2]);
         let e = b.create_block("entry");
         b.switch_to_block(e);
         let x = b.param(0);
@@ -525,13 +529,19 @@ fn multicore_driver_folds_steals_into_engine_stats() {
         .run(&RunSpec::new(w.inputs.clone(), 1))
         .expect("multicore trial");
     let grid = result.grid.expect("multicore target reports grid stats");
-    let stats = runner.engine().expect("compiled backend has an engine").stats();
+    let stats = runner
+        .engine()
+        .expect("compiled backend has an engine")
+        .stats();
     assert_eq!(
         stats.steals, grid.steals,
         "driver must fold the scheduler's steal count into EngineStats"
     );
     if grid.evaluations >= 2 * grid.threads {
-        assert!(grid.steals > 0, "a drained queue implies re-grabs: {grid:?}");
+        assert!(
+            grid.steals > 0,
+            "a drained queue implies re-grabs: {grid:?}"
+        );
     }
     // Worker engines die with their threads; their counter deltas must be
     // folded into the template engine rather than lost.
@@ -576,7 +586,11 @@ fn run_results_carry_per_run_stats_not_engine_lifetime_aggregates() {
     assert_eq!(first.stats.calls, second.stats.calls);
     // The sharded path attributes worker deltas to the shard stats too.
     let sharded = runner
-        .run(&RunSpec::new(w.inputs.clone(), 8).with_batch(4).with_shards(2))
+        .run(
+            &RunSpec::new(w.inputs.clone(), 8)
+                .with_batch(4)
+                .with_shards(2),
+        )
         .expect("sharded run");
     let shards = sharded.shards.expect("sharded run reports shard stats");
     assert!(shards.stats.instructions > 0);

@@ -50,7 +50,11 @@ fn every_family_serves_bit_identically_to_solo_runspec_runs() {
         assert_eq!(response.start, start);
         let (outputs, passes) = served.get_mut(family).unwrap();
         for (k, out) in response.outputs.into_iter().enumerate() {
-            assert!(outputs[start + k].is_empty(), "trial {} served twice", start + k);
+            assert!(
+                outputs[start + k].is_empty(),
+                "trial {} served twice",
+                start + k
+            );
             outputs[start + k] = out;
         }
         passes[start..start + response.passes.len()].copy_from_slice(&response.passes);

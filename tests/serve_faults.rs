@@ -46,10 +46,18 @@ fn await_spans(server: &Server, n: u64) {
 /// same absolute range.
 fn assert_solo_identical(server: &Server, ticket: distill_serve::Ticket, what: &str) {
     let (start, trials) = (ticket.start(), ticket.trials());
-    let served = ticket.wait().unwrap_or_else(|e| panic!("{what} failed: {e}"));
+    let served = ticket
+        .wait()
+        .unwrap_or_else(|e| panic!("{what} failed: {e}"));
     let solo = server.run_solo(FAMILY, start, trials).expect("solo rerun");
-    assert_eq!(served.outputs, solo.outputs, "{what}: outputs diverged from solo");
-    assert_eq!(served.passes, solo.passes, "{what}: passes diverged from solo");
+    assert_eq!(
+        served.outputs, solo.outputs,
+        "{what}: outputs diverged from solo"
+    );
+    assert_eq!(
+        served.passes, solo.passes,
+        "{what}: passes diverged from solo"
+    );
 }
 
 #[test]
@@ -76,7 +84,9 @@ fn expired_deadline_is_rejected_typed_and_unexpired_neighbor_serves() {
     let a = server
         .submit(TrialRequest::new(FAMILY, 4).with_deadline(Duration::ZERO))
         .expect("submit A");
-    let b = server.submit(TrialRequest::new(FAMILY, 4)).expect("submit B");
+    let b = server
+        .submit(TrialRequest::new(FAMILY, 4))
+        .expect("submit B");
 
     assert_eq!(a.wait().unwrap_err(), ServeError::DeadlineExceeded);
     chaos::disarm();
@@ -118,7 +128,10 @@ fn overloaded_lane_sheds_with_hint_and_survivors_serve_bit_identically() {
     let ServeError::Overloaded { retry_after_hint } = shed else {
         panic!("expected Overloaded, got {shed:?}");
     };
-    assert!(retry_after_hint > Duration::ZERO, "hint estimates drain time");
+    assert!(
+        retry_after_hint > Duration::ZERO,
+        "hint estimates drain time"
+    );
 
     chaos::disarm();
     let q2_start = q2.start();
@@ -128,7 +141,9 @@ fn overloaded_lane_sheds_with_hint_and_survivors_serve_bit_identically() {
     // The queue has drained and the shed submission left no trace in the
     // trial space: the next submission is admitted and gets the range the
     // shed one would have had, contiguous with q2.
-    let q3 = server.submit(TrialRequest::new(FAMILY, 4)).expect("q3 after drain");
+    let q3 = server
+        .submit(TrialRequest::new(FAMILY, 4))
+        .expect("q3 after drain");
     assert_eq!(q3.start(), q2_start + 4, "shed submission moved the cursor");
     assert_solo_identical(&server, q3, "q3");
 
@@ -140,7 +155,11 @@ fn overloaded_lane_sheds_with_hint_and_survivors_serve_bit_identically() {
         .counter("serve.lane.shed")
         .unwrap_or(0);
     if distill_telemetry::enabled() {
-        assert_eq!(after_shed - before_shed, 1, "serve.lane.shed counter drifted");
+        assert_eq!(
+            after_shed - before_shed,
+            1,
+            "serve.lane.shed counter drifted"
+        );
     }
 }
 
@@ -173,7 +192,10 @@ fn worker_panic_quarantines_one_request_and_requeues_span_mates() {
     // B fails typed with the injected panic's message; nothing hangs.
     match b.wait() {
         Err(ServeError::WorkerPanicked(msg)) => {
-            assert!(msg.contains("chaos: injected panic on trial 9"), "msg: {msg}");
+            assert!(
+                msg.contains("chaos: injected panic on trial 9"),
+                "msg: {msg}"
+            );
         }
         other => panic!("expected WorkerPanicked for B, got {other:?}"),
     }
@@ -222,12 +244,17 @@ fn mid_build_panic_leaves_no_poisoned_or_partial_cache_entry() {
         other => panic!("expected Build error, got {other:?}"),
     }
     let stats = server.stats();
-    assert_eq!(stats.cache.hits, 0, "failed build must not populate the cache");
+    assert_eq!(
+        stats.cache.hits, 0,
+        "failed build must not populate the cache"
+    );
 
     // With the fault disarmed (it self-disarms after firing) the same
     // family builds cleanly on the same cache — nothing half-inserted
     // survived the panic.
-    let t = server.submit(TrialRequest::new(FAMILY, 2)).expect("post-panic build");
+    let t = server
+        .submit(TrialRequest::new(FAMILY, 2))
+        .expect("post-panic build");
     assert_solo_identical(&server, t, "post-panic request");
     let stats = server.stats();
     assert_eq!(
@@ -265,9 +292,17 @@ fn seeded_chaos_open_loop_retries_to_completion_bit_identically() {
     };
     let report = distill_serve::run_open_loop(&server, &traffic).expect("open loop");
 
-    assert!(report.failed.is_empty(), "requests failed past retry: {:?}", report.failed);
+    assert!(
+        report.failed.is_empty(),
+        "requests failed past retry: {:?}",
+        report.failed
+    );
     assert_eq!(report.requests, 8, "every request completes");
-    assert_eq!(server.stats().worker_panics, 1, "armed panic fires exactly once");
+    assert_eq!(
+        server.stats().worker_panics,
+        1,
+        "armed panic fires exactly once"
+    );
     assert!(report.retries >= 1, "the quarantined request was retried");
     assert!(
         report.records.iter().any(|r| r.attempts > 1),

@@ -3,9 +3,7 @@
 //! model families, and malformed specs fail loudly with driver errors
 //! instead of panicking or truncating silently.
 
-use distill::{
-    CompileMode, DistillError, ExecMode, GpuConfig, RunSpec, Runner, Session, Target,
-};
+use distill::{CompileMode, DistillError, ExecMode, GpuConfig, RunSpec, Runner, Session, Target};
 use distill_models::{botvinick_stroop, necker_cube_s, predator_prey_s, Workload};
 
 fn targets() -> Vec<(&'static str, Target)> {
@@ -77,7 +75,9 @@ fn batch_chunking_handles_remainders_and_capacity() {
         RunSpec::new(w.inputs.clone(), trials).with_batch(7),
         // Batch 1000 over capacity 64 forces ceil(150/64) = 3 windows.
         RunSpec::new(w.inputs.clone(), trials).with_batch(1000),
-        RunSpec::new(w.inputs.clone(), trials).with_batch(1000).with_shards(2),
+        RunSpec::new(w.inputs.clone(), trials)
+            .with_batch(1000)
+            .with_shards(2),
         zero,
     ] {
         let got = runner.run(&spec).unwrap();
@@ -265,7 +265,10 @@ fn session_tier_overrides_the_artifacts_tier_in_build_with() {
     let a = reference.run(&spec).unwrap();
     let b = threaded.run(&spec).unwrap();
     let bits = |r: &distill::RunResult| -> Vec<Vec<u64>> {
-        r.outputs.iter().map(|o| o.iter().map(|v| v.to_bits()).collect()).collect()
+        r.outputs
+            .iter()
+            .map(|o| o.iter().map(|v| v.to_bits()).collect())
+            .collect()
     };
     assert_eq!(bits(&a), bits(&b));
     assert_eq!(a.passes, b.passes);

@@ -46,7 +46,10 @@ fn corruption_countdown_hits_the_armed_read_only() {
     .install();
     let clean = vec![1u8, 2, 3, 4, 5, 6, 7, 8];
     let mut first = clean.clone();
-    assert!(!chaos::corrupt_artifact_read(&mut first), "read 0 is not armed");
+    assert!(
+        !chaos::corrupt_artifact_read(&mut first),
+        "read 0 is not armed"
+    );
     assert_eq!(first, clean);
     let mut second = clean.clone();
     assert!(chaos::corrupt_artifact_read(&mut second), "read 1 is armed");
@@ -56,7 +59,10 @@ fn corruption_countdown_hits_the_armed_read_only() {
         "exactly one byte flips"
     );
     let mut third = clean.clone();
-    assert!(!chaos::corrupt_artifact_read(&mut third), "fired once, then inert");
+    assert!(
+        !chaos::corrupt_artifact_read(&mut third),
+        "fired once, then inert"
+    );
     assert_eq!(third, clean);
     chaos::disarm();
 }

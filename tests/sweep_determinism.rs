@@ -12,8 +12,8 @@
 use distill::{compile, RunResult, RunSpec, Session};
 use distill_models::{registry, Scale};
 use distill_sweep::{
-    dsweep_family, outputs_bits_equal, run_sweep, DsweepConfig, FaultPlan, SweepConfig,
-    WorkerMode, ANCHOR_FAMILY,
+    dsweep_family, outputs_bits_equal, run_sweep, DsweepConfig, FaultPlan, SweepConfig, WorkerMode,
+    ANCHOR_FAMILY,
 };
 
 /// Odd trial count so every batch size produces a ragged final chunk.
@@ -47,7 +47,10 @@ fn every_registered_family_shards_bit_identically() {
                     .unwrap()
                     .run(&serial_spec.clone().with_batch(batch).with_shards(threads))
                     .unwrap_or_else(|e| {
-                        panic!("{}: sharded run (t={threads}, b={batch}) failed: {e}", spec.name)
+                        panic!(
+                            "{}: sharded run (t={threads}, b={batch}) failed: {e}",
+                            spec.name
+                        )
                     });
                 assert_eq!(
                     serial_bits,
@@ -64,9 +67,9 @@ fn every_registered_family_shards_bit_identically() {
                 // fall back to the serial path (no shard stats) — identity
                 // above is still required of them.
                 if threads > 1 && w.model.reset_state_each_trial {
-                    let stats = sharded.shards.unwrap_or_else(|| {
-                        panic!("{}: sharded run reports no stats", spec.name)
-                    });
+                    let stats = sharded
+                        .shards
+                        .unwrap_or_else(|| panic!("{}: sharded run reports no stats", spec.name));
                     assert!(stats.threads >= 1);
                     assert_eq!(stats.chunks, TRIALS.div_ceil(stats.batch));
                 }
@@ -87,7 +90,11 @@ fn orchestrated_sweep_verifies_identity_on_every_family() {
     })
     .expect("sweep runs");
     for w in &report.workloads {
-        assert!(w.identical, "{}: sharded sweep diverged from serial", w.name);
+        assert!(
+            w.identical,
+            "{}: sharded sweep diverged from serial",
+            w.name
+        );
     }
     assert!(report.all_identical());
 }
@@ -166,8 +173,14 @@ fn distributed_sweep_survives_a_seeded_worker_kill_bit_identically() {
     );
     assert_eq!(serial.passes, report.passes);
     if report.workers_connected > 0 {
-        assert!(report.worker_deaths >= 1, "the seeded kill must be observed");
-        assert!(report.reissued >= 1, "the killed worker's lease must re-issue");
+        assert!(
+            report.worker_deaths >= 1,
+            "the seeded kill must be observed"
+        );
+        assert!(
+            report.reissued >= 1,
+            "the killed worker's lease must re-issue"
+        );
         assert!(report.max_epoch >= 1, "re-issue must bump the epoch");
         assert!(
             report.shards.steals >= report.reissued,

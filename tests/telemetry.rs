@@ -98,7 +98,9 @@ fn kill_switch_is_bit_identical_and_probe_free() {
     assert!(!after.enabled, "snapshot must record the disabled state");
     let root = Json::parse(&trace).expect("trace parses");
     assert_eq!(
-        root.get("traceEvents").and_then(Json::as_arr).map(<[Json]>::len),
+        root.get("traceEvents")
+            .and_then(Json::as_arr)
+            .map(<[Json]>::len),
         Some(0),
         "trace events recorded while telemetry was off"
     );
@@ -140,7 +142,10 @@ fn chrome_trace_export_is_valid_trace_event_json() {
         })
     };
     assert!(has("run", "X"), "driver run span missing from the trace");
-    assert!(has("test.marker", "i"), "instant event missing from the trace");
+    assert!(
+        has("test.marker", "i"),
+        "instant event missing from the trace"
+    );
 
     // The textual digest covers the same events.
     let summary = telemetry::trace_summary();
@@ -159,7 +164,11 @@ fn snapshot_json_round_trips() {
     assert_eq!(json.get("enabled").and_then(Json::as_bool), Some(true));
     let counters = json.get("counters").expect("snapshot has counters");
     assert!(
-        counters.get("run.completed").and_then(Json::as_f64).unwrap_or(0.0) >= 1.0,
+        counters
+            .get("run.completed")
+            .and_then(Json::as_f64)
+            .unwrap_or(0.0)
+            >= 1.0,
         "run.completed missing from snapshot JSON"
     );
 }
