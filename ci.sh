@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# Offline CI for the Distill reproduction: the tier-1 verify plus a
-# compile-check of every bench target, the smokes, a reduced-workload run of
-# the paper's figures and the benchmark package's own tests.
+# Offline CI for the Distill reproduction: a rustfmt check, the tier-1
+# verify, the smokes, a reduced-workload run of the paper's figures and the
+# benchmark package's own tests.
 # No step may touch the network; CARGO_NET_OFFLINE makes cargo fail fast if
 # anything ever tries.
 set -euo pipefail
@@ -9,10 +9,13 @@ cd "$(dirname "$0")"
 
 export CARGO_NET_OFFLINE=true
 
+echo "== format (rustfmt, check only)"
+cargo fmt --all --check
+
 echo "== build (release)"
 cargo build --release --workspace
 
-echo "== clippy (warnings denied, tests, benches and examples included)"
+echo "== clippy (warnings denied, tests and examples included)"
 cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== test"
@@ -23,9 +26,6 @@ echo "== test on the fused tier (session-level suites run the default, threaded,
 # whatever TierPolicy::default() picks; this pass keeps the fused
 # interpreter, a tier-ladder rung, covered by them too.
 DISTILL_TIER=fused cargo test -q
-
-echo "== benches compile"
-cargo bench --no-run --workspace
 
 echo "== docs (warnings denied, so API-doc drift fails the gate)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace

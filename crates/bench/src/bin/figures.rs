@@ -22,8 +22,8 @@
 //! arguments are rejected (exit 2) rather than silently changing the scale
 //! of an archived run.
 
-use criterion::json::Json;
 use distill_bench as bench;
+use distill_telemetry::json::Json;
 use std::path::PathBuf;
 use std::time::Instant;
 
@@ -172,14 +172,7 @@ fn main() {
         i += 1;
     }
     let scale = if full { 1.0 } else { 0.1 };
-    // Explicit CLI flag wins over the environment.
-    let out_dir = out
-        .or_else(|| {
-            std::env::var("DISTILL_BENCH_DIR")
-                .ok()
-                .filter(|d| !d.is_empty())
-        })
-        .unwrap_or_else(|| "bench_results".to_string());
+    let out_dir = out.unwrap_or_else(|| "bench_results".to_string());
 
     let want = |name: &str| fig.is_none() || fig.as_deref() == Some(name);
     let mut emit = Emitter::new(PathBuf::from(out_dir), full);

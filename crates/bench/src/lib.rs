@@ -3,21 +3,20 @@
 //!
 //! Each `figN` function produces the data series of the corresponding figure
 //! as plain structs with a `render()` text form; the `figures` binary prints
-//! them, and the Criterion benches in `benches/` time the individual
-//! configurations. Absolute numbers differ from the paper (the baseline is a
+//! them. Absolute numbers differ from the paper (the baseline is a
 //! Rust-hosted dynamic interpreter, not CPython 3.6 on an i7-8700; the GPU
 //! is simulated), but the series have the same shape: who wins, by roughly
 //! what factor, and which configurations fail with which annotation.
 
-use criterion::json::Json;
 use distill::{
-    analysis, compile, time_baseline, time_distill, CompileConfig, CompileMode, ExecMode,
-    GpuConfig, Measurement, OptLevel, RunSpec, Session, Target,
+    analysis, compile, CompileConfig, CompileMode, ExecMode, GpuConfig, OptLevel, RunSpec, Session,
+    Target,
 };
 use distill_models::{
     botvinick_stroop, extended_stroop_a, extended_stroop_b, figure4_models, multitasking,
     predator_prey, registry, Scale, Tag, Workload,
 };
+use distill_telemetry::json::Json;
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -34,14 +33,23 @@ pub struct Cell {
     pub result: Result<f64, String>,
 }
 
+/// Build `session`'s runner, then time only the run of `spec`: compilation
+/// and engine setup are excluded, matching the paper's warmup methodology.
+/// A build failure is reported like a run failure, as the annotation the
+/// figures print instead of a bar.
+fn time_run(session: Session, spec: &RunSpec) -> Result<f64, String> {
+    let mut runner = session.build().map_err(|e| e.to_string())?;
+    let start = Instant::now();
+    let outcome = runner.run(spec);
+    let seconds = start.elapsed().as_secs_f64();
+    outcome.map(|_| seconds).map_err(|e| e.to_string())
+}
+
 impl Cell {
-    fn time(label: impl Into<String>, m: Measurement) -> Cell {
+    fn new(label: impl Into<String>, result: Result<f64, String>) -> Cell {
         Cell {
             label: label.into(),
-            result: match m {
-                Measurement::Time(d) => Ok(d.as_secs_f64()),
-                Measurement::Failed(msg) => Err(msg),
-            },
+            result,
         }
     }
 
@@ -116,24 +124,22 @@ pub fn fig4(trial_scale: f64) -> Vec<Series> {
     let mut out = Vec::new();
     for w in figure4_models() {
         let w = scaled(w, trial_scale);
+        let spec = RunSpec::new(w.inputs.clone(), w.trials);
         let mut cells = Vec::new();
         for mode in ExecMode::all() {
-            cells.push(Cell::time(
-                mode.label(),
-                time_baseline(&w.model, &w.inputs, w.trials, mode, Some(DNF_BUDGET)),
-            ));
+            let baseline = Session::new(&w.model)
+                .target(Target::Baseline(mode))
+                .eval_budget(DNF_BUDGET);
+            cells.push(Cell::new(mode.label(), time_run(baseline, &spec)));
         }
         // The Distill path is host-independent in this reproduction: one
         // compiled measurement stands for all four environments.
-        let distill = time_distill(&w.model, &w.inputs, w.trials, CompileConfig::default());
+        let distill = time_run(Session::new(&w.model), &spec);
         for mode in ExecMode::all() {
-            cells.push(Cell {
-                label: format!("{}-DISTILL", mode.label()),
-                result: match &distill {
-                    Measurement::Time(d) => Ok(d.as_secs_f64()),
-                    Measurement::Failed(m) => Err(m.clone()),
-                },
-            });
+            cells.push(Cell::new(
+                format!("{}-DISTILL", mode.label()),
+                distill.clone(),
+            ));
         }
         out.push(Series {
             title: w.model.name.clone(),
@@ -143,10 +149,10 @@ pub fn fig4(trial_scale: f64) -> Vec<Series> {
     out
 }
 
-/// Fig. 5a: Predator-Prey scaling — CPython vs Distill. The scaling ladder
-/// is data-driven from the registry's [`Tag::Scaling`] entries, built at
-/// the scale matching the run's archive stamp; `full` also adds the XL
-/// variant (10⁶ evaluations).
+/// Fig. 5a: Predator-Prey scaling — CPython vs Distill, one trial per
+/// variant. The scaling ladder is data-driven from the registry's
+/// [`Tag::Scaling`] entries, built at the scale matching the run's archive
+/// stamp; `full` also adds the XL variant (10⁶ evaluations).
 pub fn fig5a(full: bool) -> Vec<Series> {
     let scale = if full { Scale::Full } else { Scale::Reduced };
     let mut out = Vec::new();
@@ -158,26 +164,21 @@ pub fn fig5a(full: bool) -> Vec<Series> {
         workloads.push(predator_prey(100));
     }
     for w in workloads {
-        let trials = 1;
         let huge_grid = w
             .model
             .controller
             .as_ref()
             .map(|c| c.grid_size() >= 1_000_000)
             .unwrap_or(false);
-        let baseline = time_baseline(
-            &w.model,
-            &w.inputs,
-            trials,
-            ExecMode::CPython,
-            Some(if huge_grid { 20_000_000 } else { DNF_BUDGET }),
-        );
-        let distill = time_distill(&w.model, &w.inputs, trials, CompileConfig::default());
+        let spec = RunSpec::new(w.inputs.clone(), 1);
+        let baseline = Session::new(&w.model)
+            .target(Target::Baseline(ExecMode::CPython))
+            .eval_budget(if huge_grid { 20_000_000 } else { DNF_BUDGET });
         out.push(Series {
             title: w.model.name.clone(),
             cells: vec![
-                Cell::time("CPython", baseline),
-                Cell::time("CPython-DISTILL", distill),
+                Cell::new("CPython", time_run(baseline, &spec)),
+                Cell::new("CPython-DISTILL", time_run(Session::new(&w.model), &spec)),
             ],
         });
     }
@@ -187,23 +188,15 @@ pub fn fig5a(full: bool) -> Vec<Series> {
 /// Fig. 5b: Botvinick Stroop — per-node vs whole-model compilation.
 pub fn fig5b(trial_scale: f64) -> Series {
     let w = scaled(botvinick_stroop(), trial_scale);
-    let baseline = time_baseline(&w.model, &w.inputs, w.trials, ExecMode::CPython, None);
-    let per_node = time_distill(
-        &w.model,
-        &w.inputs,
-        w.trials,
-        CompileConfig {
-            mode: CompileMode::PerNode,
-            ..CompileConfig::default()
-        },
-    );
-    let whole = time_distill(&w.model, &w.inputs, w.trials, CompileConfig::default());
+    let spec = RunSpec::new(w.inputs.clone(), w.trials);
+    let baseline = Session::new(&w.model).target(Target::Baseline(ExecMode::CPython));
+    let per_node = Session::new(&w.model).mode(CompileMode::PerNode);
     Series {
         title: "botvinick_stroop per-node vs whole-model".into(),
         cells: vec![
-            Cell::time("CPython", baseline),
-            Cell::time("CPython-DISTILL-per-node", per_node),
-            Cell::time("CPython-DISTILL", whole),
+            Cell::new("CPython", time_run(baseline, &spec)),
+            Cell::new("CPython-DISTILL-per-node", time_run(per_node, &spec)),
+            Cell::new("CPython-DISTILL", time_run(Session::new(&w.model), &spec)),
         ],
     }
 }
@@ -711,6 +704,19 @@ pub fn fig3() -> Fig3Report {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn measurements_report_time_or_failure() {
+        let w = distill_models::necker_cube_s();
+        let spec = |trials| RunSpec::new(w.inputs.clone(), trials);
+        let baseline = || Session::new(&w.model).target(Target::Baseline(ExecMode::CPython));
+        assert!(time_run(baseline(), &spec(2)).is_ok_and(|s| s > 0.0));
+        // A one-evaluation budget cannot finish: the cell carries the
+        // "did not finish" annotation instead of a time.
+        let failed = time_run(baseline().eval_budget(1), &spec(100));
+        assert!(failed.is_err_and(|msg| !msg.is_empty()));
+        assert!(time_run(Session::new(&w.model), &spec(2)).is_ok_and(|s| s > 0.0));
+    }
 
     #[test]
     fn fig2_locates_the_optimum_without_model_runs() {

@@ -1,17 +1,13 @@
 //! Smoke tests: execute every figure workload once under `cargo test -q`, so
-//! the figure code paths are compiled and exercised by the tier-1 verify
-//! instead of rotting behind `cargo bench`.
+//! the figure code paths are compiled and exercised by the tier-1 verify.
 //!
 //! Each test uses the smallest workload the figure supports; the full-size
-//! sweeps stay behind `cargo bench` / `figures --full`. Where the figN
-//! function itself is too heavy for the unoptimized test profile (fig4's
-//! eight-model sweep, fig5a's L variant), the test mirrors the corresponding
-//! bench body at reduced size instead.
+//! sweeps stay behind `figures --full`. Where the figN function itself is
+//! too heavy for the unoptimized test profile (fig4's eight-model sweep,
+//! fig5a's L variant), the test runs the figure's configurations at reduced
+//! size instead.
 
-use distill::{
-    time_baseline, time_distill, CompileConfig, CompileMode, ExecMode, GpuConfig, Measurement,
-    RunSpec, Session, Target,
-};
+use distill::{CompileMode, DistillError, ExecMode, GpuConfig, RunSpec, Session, Target};
 use distill_bench as bench;
 use distill_models::{botvinick_stroop, necker_cube_s, predator_prey, registry, Scale, Tag};
 
@@ -35,21 +31,33 @@ fn fig3_clone_detection_runs() {
     assert!(r.matched_instructions > 0);
 }
 
+/// Build `session` and run `spec` once; a build failure is reported like a
+/// run failure, as fig4's cells do.
+fn run(session: Session, spec: &RunSpec) -> Result<(), DistillError> {
+    session.build()?.run(spec).map(|_| ())
+}
+
+/// `model` on the baseline under `mode`, with fig4's DNF budget.
+fn baseline(model: &distill::Composition, mode: ExecMode) -> Session {
+    Session::new(model)
+        .target(Target::Baseline(mode))
+        .eval_budget(bench::DNF_BUDGET)
+}
+
 #[test]
 fn fig4_workload_runs_per_environment() {
-    // Mirrors benches/fig4_envs.rs at one trial on the smallest model.
+    // fig4's configurations at one trial on the smallest model.
     let w = necker_cube_s();
+    let spec = RunSpec::new(w.inputs.clone(), 1);
     for mode in ExecMode::all() {
-        match time_baseline(&w.model, &w.inputs, 1, mode, Some(bench::DNF_BUDGET)) {
-            Measurement::Time(d) => assert!(d.as_nanos() > 0),
+        if let Err(e) = run(baseline(&w.model, mode), &spec) {
             // The simulated JIT environments may legitimately fail (OOM /
             // unsupported-framework annotations), but never silently.
-            Measurement::Failed(msg) => assert!(!msg.is_empty()),
+            assert!(!e.to_string().is_empty());
         }
     }
-    match time_distill(&w.model, &w.inputs, 1, CompileConfig::default()) {
-        Measurement::Time(d) => assert!(d.as_nanos() > 0),
-        Measurement::Failed(msg) => panic!("Distill path failed: {msg}"),
+    if let Err(e) = run(Session::new(&w.model), &spec) {
+        panic!("Distill path failed: {e}");
     }
 }
 
@@ -60,19 +68,12 @@ fn fig4_registry_models_run_baseline_and_distill() {
     // and under Distill (the figure itself scales the trial counts).
     for spec in registry::by_tag(Tag::Figure4) {
         let w = spec.build(Scale::Reduced);
-        match time_baseline(
-            &w.model,
-            &w.inputs,
-            1,
-            ExecMode::CPython,
-            Some(bench::DNF_BUDGET),
-        ) {
-            Measurement::Time(d) => assert!(d.as_nanos() > 0, "{}", spec.name),
-            Measurement::Failed(msg) => panic!("{}: baseline failed: {msg}", spec.name),
+        let one = RunSpec::new(w.inputs.clone(), 1);
+        if let Err(e) = run(baseline(&w.model, ExecMode::CPython), &one) {
+            panic!("{}: baseline failed: {e}", spec.name);
         }
-        match time_distill(&w.model, &w.inputs, 1, CompileConfig::default()) {
-            Measurement::Time(d) => assert!(d.as_nanos() > 0, "{}", spec.name),
-            Measurement::Failed(msg) => panic!("{}: Distill path failed: {msg}", spec.name),
+        if let Err(e) = run(Session::new(&w.model), &one) {
+            panic!("{}: Distill path failed: {e}", spec.name);
         }
     }
 }
@@ -104,7 +105,7 @@ fn fig5a_workload_scales_baseline_vs_distill() {
 
 #[test]
 fn fig5b_workload_compiles_both_scopes() {
-    // Mirrors benches/fig5b_per_node.rs at a twentieth of the trial count.
+    // fig5b's compiled configurations at a twentieth of the trial count.
     let w = bench::scaled(botvinick_stroop(), 0.05);
     let spec = RunSpec::new(w.inputs.clone(), w.trials);
     for mode in [CompileMode::PerNode, CompileMode::WholeModel] {
@@ -160,8 +161,8 @@ fn fig7_workload_breaks_down_compile_cost() {
 
 #[test]
 fn gpu_grid_runs_with_fp32_and_throttle() {
-    // The fig6 bench exercises custom GpuConfigs through Target::Gpu; keep
-    // that path under test too.
+    // fig6 runs custom GpuConfigs through Target::Gpu; keep that path
+    // under test too.
     let w = predator_prey(2);
     let cfg = GpuConfig::default().fp32().with_max_registers(32);
     let report = Session::new(&w.model)

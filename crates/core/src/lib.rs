@@ -76,7 +76,6 @@ pub use session::{Session, Target};
 pub use distill_cogmodel::runner::TrialInput;
 
 use std::fmt;
-use std::time::{Duration, Instant};
 
 /// Errors surfaced when building or driving a model.
 #[derive(Debug)]
@@ -122,72 +121,6 @@ impl From<RunError> for DistillError {
     fn from(e: RunError) -> Self {
         DistillError::Baseline(e)
     }
-}
-
-/// How long a configuration took, or why it could not complete — the unit of
-/// the Fig. 4 / Fig. 5 harnesses.
-#[derive(Debug, Clone)]
-pub enum Measurement {
-    /// Completed in the given wall-clock time.
-    Time(Duration),
-    /// Failed with an annotation the figures print instead of a bar.
-    Failed(String),
-}
-
-impl Measurement {
-    /// The time in seconds, if completed.
-    pub fn seconds(&self) -> Option<f64> {
-        match self {
-            Measurement::Time(d) => Some(d.as_secs_f64()),
-            Measurement::Failed(_) => None,
-        }
-    }
-}
-
-/// Build the session's runner, then time only the run of `spec` —
-/// compilation and engine setup are excluded from the measurement, matching
-/// the paper's warmup methodology. A build/compile failure is reported as
-/// [`Measurement::Failed`] just like a run failure.
-pub fn time_session(session: Session, spec: &RunSpec) -> Measurement {
-    match session.build() {
-        Ok(mut runner) => {
-            let start = Instant::now();
-            match runner.run(spec) {
-                Ok(_) => Measurement::Time(start.elapsed()),
-                Err(e) => Measurement::Failed(e.to_string()),
-            }
-        }
-        Err(e) => Measurement::Failed(e.to_string()),
-    }
-}
-
-/// Time a baseline run of `model` under `mode`.
-pub fn time_baseline(
-    model: &Composition,
-    inputs: &[TrialInput],
-    trials: usize,
-    mode: ExecMode,
-    eval_budget: Option<u64>,
-) -> Measurement {
-    let mut session = Session::new(model).target(Target::Baseline(mode));
-    if let Some(budget) = eval_budget {
-        session = session.eval_budget(budget);
-    }
-    time_session(session, &RunSpec::new(inputs.to_vec(), trials))
-}
-
-/// Time a Distill-compiled run (compilation excluded, matching the paper's
-/// warmup methodology).
-pub fn time_distill(
-    model: &Composition,
-    inputs: &[TrialInput],
-    trials: usize,
-    config: CompileConfig,
-) -> Measurement {
-    time_session(
-        Session::new(model).compile_config(config),
-        &RunSpec::new(inputs.to_vec(), trials),
-    )
 }
 
 #[cfg(test)]
@@ -289,17 +222,6 @@ mod tests {
             .run(&RunSpec::new(vec![vec![vec![1.0, 2.0], vec![3.0]]], 1))
             .unwrap_err();
         assert!(matches!(err, DistillError::Driver(_)), "{err}");
-    }
-
-    #[test]
-    fn measurements_report_time_or_failure() {
-        let (model, inputs) = chain_model();
-        let m = time_baseline(&model, &inputs, 2, ExecMode::CPython, None);
-        assert!(m.seconds().is_some());
-        let failed = time_baseline(&model, &inputs, 100, ExecMode::CPython, Some(1));
-        assert!(failed.seconds().is_none());
-        let d = time_distill(&model, &inputs, 2, CompileConfig::default());
-        assert!(d.seconds().is_some());
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! parser, and fails unless the trace is well-formed and contains the
 //! spans the daemon is documented to emit.
 
-use criterion::json::Json;
+use distill_telemetry::json::Json;
 use std::time::Duration;
 
 use distill_serve::{run_open_loop, ServeConfig, Server, TrafficConfig};

@@ -121,9 +121,8 @@ pub struct TrafficReport {
     pub throughput_rps: f64,
     /// Completed trials per second.
     pub throughput_tps: f64,
-    /// Per-request latencies in seconds, sorted ascending (feed to
-    /// `distill_bench_harness::percentile_sorted` for p50/p95/p99);
-    /// completed requests only.
+    /// Per-request latencies in seconds, sorted ascending, so a percentile
+    /// is an index into it; completed requests only.
     pub latencies_s: Vec<f64>,
     /// Requests whose response was coalesced with another request's.
     pub coalesced_requests: usize,

@@ -19,10 +19,10 @@
 //! parser, failing unless the trace is well-formed and shows completed
 //! `dsweep.lease` spans.
 
-use criterion::json::Json;
 use distill::{RunSpec, Session};
 use distill_models::registry;
 use distill_sweep::{dsweep_family, outputs_bits_equal, DsweepConfig, FaultPlan, ANCHOR_FAMILY};
+use distill_telemetry::json::Json;
 
 /// Parse a chrome trace export and require well-formed events plus at least
 /// one event per `required` name. Panics (non-zero exit) on any violation.

@@ -1,12 +1,13 @@
 //! A minimal JSON value tree, serializer and parser.
 //!
-//! The harness (and the `figures` binary in `distill-bench`) emit machine-
-//! readable timing reports; with no external crates available offline, this
-//! module provides the small subset of serde_json the reports need: build a
-//! [`Json`] tree, `to_string` it with correct escaping, render non-finite
-//! floats as `null` so the output is always standards-compliant JSON — and
-//! [`Json::parse`] the reports back, which is what the telemetry suite and
-//! the smoke examples use to validate exported chrome traces.
+//! With no external crates available offline, this module provides the
+//! small subset of serde_json the workspace needs: build a [`Json`] tree,
+//! `to_string` it with correct escaping, render non-finite floats as `null`
+//! so the output is always standards-compliant JSON — and [`Json::parse`]
+//! documents back, which is what the telemetry suite and the smoke examples
+//! use to validate exported chrome traces. The `figures` binary in
+//! `distill-bench` writes its reports with it, and the snapshot and trace
+//! exports share its string escaper.
 
 use std::fmt;
 
@@ -374,7 +375,8 @@ impl<T: Into<Json>> From<Vec<T>> for Json {
     }
 }
 
-fn escape(s: &str, out: &mut String) {
+/// Append `s` to `out` as a JSON string literal (quotes included).
+pub(crate) fn escape(s: &str, out: &mut String) {
     out.push('"');
     for c in s.chars() {
         match c {

@@ -14,6 +14,9 @@
 //!   into a bounded global ring buffer, exportable as chrome://tracing
 //!   `trace_event` JSON or a plain-text summary.
 //!
+//! Both exports escape strings with the [`json`] module, whose [`json::Json`]
+//! tree also parses them back and writes the `figures` reports.
+//!
 //! Both surfaces honour one **kill switch**: setting the environment
 //! variable `DISTILL_TELEMETRY=0` (or calling [`set_enabled`]`(false)`)
 //! turns every probe in the workspace into a single relaxed load plus an
@@ -46,6 +49,7 @@
 //! assert!(telemetry::chrome_trace_json().contains("doc.handle"));
 //! ```
 
+pub mod json;
 pub mod metrics;
 pub mod trace;
 

@@ -14,6 +14,7 @@
 //! upper bounds, which is plenty for p50/p95/p99 dashboards and keeps the
 //! record path branch-free.
 
+use crate::json::escape;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering::Relaxed};
@@ -303,29 +304,27 @@ impl TelemetrySnapshot {
             if i > 0 {
                 out.push(',');
             }
-            let _ = write!(out, "{}:{}", json_string(name), v);
+            escape(name, &mut out);
+            let _ = write!(out, ":{v}");
         }
         out.push_str("},\"gauges\":{");
         for (i, (name, v)) in self.gauges.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            let _ = write!(out, "{}:{}", json_string(name), v);
+            escape(name, &mut out);
+            let _ = write!(out, ":{v}");
         }
         out.push_str("},\"histograms\":{");
         for (i, (name, h)) in self.histograms.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
+            escape(name, &mut out);
             let _ = write!(
                 out,
-                "{}:{{\"count\":{},\"sum\":{},\"p50\":{},\"p95\":{},\"p99\":{}}}",
-                json_string(name),
-                h.count,
-                h.sum,
-                h.p50,
-                h.p95,
-                h.p99
+                ":{{\"count\":{},\"sum\":{},\"p50\":{},\"p95\":{},\"p99\":{}}}",
+                h.count, h.sum, h.p50, h.p95, h.p99
             );
         }
         out.push_str("}}");
@@ -333,30 +332,16 @@ impl TelemetrySnapshot {
     }
 }
 
-/// Escape `s` as a JSON string literal (quotes included).
-pub(crate) fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The escaper `to_json` writes names with, as a standalone string.
+    fn json_string(s: &str) -> String {
+        let mut out = String::new();
+        escape(s, &mut out);
+        out
+    }
 
     #[test]
     fn counter_and_gauge_roundtrip() {

@@ -15,7 +15,7 @@
 //! chrome://tracing or Perfetto; [`trace_summary`] renders a per-name
 //! plain-text digest for terminals.
 
-use crate::metrics::json_string;
+use crate::json::escape;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
@@ -43,17 +43,16 @@ pub enum ArgValue {
 }
 
 impl ArgValue {
-    fn render(&self) -> String {
+    fn render(&self, out: &mut String) {
         match self {
-            ArgValue::I64(v) => v.to_string(),
-            ArgValue::F64(v) => {
-                if v.is_finite() {
-                    format!("{v}")
-                } else {
-                    json_string(&v.to_string())
-                }
+            ArgValue::I64(v) => {
+                let _ = write!(out, "{v}");
             }
-            ArgValue::Str(s) => json_string(s),
+            ArgValue::F64(v) if v.is_finite() => {
+                let _ = write!(out, "{v}");
+            }
+            ArgValue::F64(v) => escape(&v.to_string(), out),
+            ArgValue::Str(s) => escape(s, out),
         }
     }
 }
@@ -267,6 +266,10 @@ fn collect() -> (Vec<Event>, u64) {
 /// first; other live threads contribute what they have already drained.
 pub fn chrome_trace_json() -> String {
     let (events, dropped) = collect();
+    render_chrome_trace(&events, dropped)
+}
+
+fn render_chrome_trace(events: &[Event], dropped: u64) -> String {
     let pid = std::process::id();
     let mut out = String::from("{\"traceEvents\":[");
     for (i, ev) in events.iter().enumerate() {
@@ -277,10 +280,11 @@ pub fn chrome_trace_json() -> String {
             Phase::Complete => "X",
             Phase::Instant => "i",
         };
+        out.push_str("{\"name\":");
+        escape(ev.name, &mut out);
         let _ = write!(
             out,
-            "{{\"name\":{},\"cat\":\"distill\",\"ph\":\"{ph}\",\"ts\":{},",
-            json_string(ev.name),
+            ",\"cat\":\"distill\",\"ph\":\"{ph}\",\"ts\":{},",
             ev.ts_us
         );
         if ev.phase == Phase::Complete {
@@ -296,7 +300,9 @@ pub fn chrome_trace_json() -> String {
                 if j > 0 {
                     out.push(',');
                 }
-                let _ = write!(out, "{}:{}", json_string(k), v.render());
+                escape(k, &mut out);
+                out.push(':');
+                v.render(&mut out);
             }
             out.push('}');
         }
@@ -309,13 +315,17 @@ pub fn chrome_trace_json() -> String {
     out
 }
 
-/// Write [`chrome_trace_json`] to `path`, returning the number of events
-/// exported.
+/// Write [`chrome_trace_json`] to `path`, creating its parent directory if
+/// needed, and return the number of events exported. The count and the file
+/// come from one snapshot of the ring, so they always agree.
 pub fn write_chrome_trace(path: impl AsRef<std::path::Path>) -> std::io::Result<usize> {
-    let (events, _) = collect();
-    let n = events.len();
-    std::fs::write(path, chrome_trace_json())?;
-    Ok(n)
+    let path = path.as_ref();
+    let (events, dropped) = collect();
+    if let Some(dir) = path.parent() {
+        std::fs::create_dir_all(dir)?;
+    }
+    std::fs::write(path, render_chrome_trace(&events, dropped))?;
+    Ok(events.len())
 }
 
 /// A plain-text digest of the retained events: per name, the occurrence
@@ -369,6 +379,7 @@ pub fn trace_summary() -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::Json;
 
     // The ring buffer is process-global, so every test serialises on this
     // lock and starts from a cleared ring.
@@ -436,5 +447,35 @@ mod tests {
         let ring = ring().lock().unwrap();
         assert_eq!(ring.events.len(), RING_CAP);
         assert!(ring.dropped >= 10);
+    }
+
+    #[test]
+    fn write_chrome_trace_creates_the_directory_and_counts_what_it_writes() {
+        let _g = locked();
+        for i in 0..5 {
+            instant("test.export", vec![("i", ArgValue::I64(i))]);
+        }
+        let root = std::env::temp_dir().join(format!("distill-trace-{}", std::process::id()));
+        let path = root.join("missing").join("nested").join("trace.json");
+        let written = write_chrome_trace(&path).expect("trace export");
+        let doc = Json::parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
+        std::fs::remove_dir_all(&root).ok();
+        let events = doc.get("traceEvents").and_then(Json::as_arr).unwrap();
+        assert_eq!(events.len(), written);
+        assert_eq!(written, 5);
+    }
+
+    #[test]
+    fn span_args_escape_and_parse_back_unchanged() {
+        let _g = locked();
+        let nasty = "quote \" backslash \\ newline \n control \u{1} non-ascii \u{e9}\u{1F600}";
+        {
+            let mut sp = span("test.escape");
+            sp.arg_str("text", nasty);
+        }
+        let doc = Json::parse(&chrome_trace_json()).expect("trace parses");
+        let events = doc.get("traceEvents").and_then(Json::as_arr).unwrap();
+        let text = events[0].get("args").and_then(|a| a.get("text"));
+        assert_eq!(text.and_then(Json::as_str), Some(nasty));
     }
 }

@@ -4,10 +4,10 @@
 //! switch must be bit-transparent and probe-free, and the chrome-trace
 //! export must be machine-parseable `trace_event` JSON.
 
-use criterion::json::Json;
 use distill::{RunSpec, Session};
 use distill_models::predator_prey_s;
 use distill_telemetry as telemetry;
+use distill_telemetry::json::Json;
 use std::sync::Mutex;
 
 /// The registry, trace ring and kill switch are process-global, so every
