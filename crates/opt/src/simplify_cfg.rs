@@ -134,26 +134,30 @@ fn remove_unreachable_blocks(func: &mut Function) -> usize {
     ndead
 }
 
+/// Merge every block into its successor while the successor has no other
+/// predecessor.
+///
+/// Merging `succ` into `b` hands `succ`'s terminator, and with it `succ`'s
+/// out-edges, to `b`. No block's predecessor count changes, and no block
+/// laid out before `b` becomes mergeable. So one walk in layout order, that
+/// keeps merging each block's new successor, makes the same merges in the
+/// same order as restarting the scan after every merge would.
 fn merge_straightline_blocks(func: &mut Function) -> usize {
     let mut changes = 0;
     // The single-edge phis of merged blocks, replaced once all merges are
     // done.
     let mut repl = Replacements::default();
-    loop {
-        let cfg = Cfg::new(func);
-        let mut merged = false;
-        for b in func.block_order().collect::<Vec<_>>() {
-            let Some(Terminator::Br(succ)) = func.block(b).term.clone() else {
-                continue;
-            };
-            if succ == b {
-                continue;
-            }
-            if cfg.preds_of(succ).len() != 1 {
-                continue;
-            }
-            if succ == func.entry_block().unwrap() {
-                continue;
+    let preds = Cfg::new(func).preds;
+    let entry = func.entry_block().unwrap();
+    let mut merged_away = vec![false; func.blocks.len()];
+    for i in 0..func.layout.len() {
+        let b = func.layout[i];
+        if merged_away[b.index()] {
+            continue;
+        }
+        while let Some(Terminator::Br(succ)) = func.block(b).term {
+            if succ == b || succ == entry || preds[succ.index()].len() != 1 {
+                break;
             }
             // Replace phi nodes in `succ` (they have a single incoming edge)
             // and move the remaining instructions and the terminator up
@@ -186,15 +190,11 @@ fn merge_straightline_blocks(func: &mut Function) -> usize {
                     }
                 }
             }
-            func.layout.retain(|x| *x != succ);
+            merged_away[succ.index()] = true;
             changes += 1;
-            merged = true;
-            break;
-        }
-        if !merged {
-            break;
         }
     }
+    func.layout.retain(|x| !merged_away[x.index()]);
     func.replace_uses(&repl);
     changes
 }
