@@ -31,7 +31,7 @@ use std::fmt;
 use std::path::Path;
 
 /// Format version of the artifact encoding; bump on any shape change.
-pub const ARTIFACT_VERSION: u32 = 2;
+pub const ARTIFACT_VERSION: u32 = 3;
 
 /// Magic bytes identifying an artifact file.
 pub const ARTIFACT_MAGIC: [u8; 8] = *b"DSTLART\0";
@@ -368,6 +368,7 @@ fn enc_pass_stats(w: &mut Writer, s: &PassStats) {
         s.cfg_simplified,
         s.licm_hoisted,
         s.inlined_calls,
+        s.memory_ops_removed,
     ] {
         w.len(v);
     }
@@ -382,6 +383,7 @@ fn dec_pass_stats(r: &mut Reader) -> Result<PassStats, ArtifactError> {
         cfg_simplified: r.len()?,
         licm_hoisted: r.len()?,
         inlined_calls: r.len()?,
+        memory_ops_removed: r.len()?,
     })
 }
 

@@ -3,6 +3,7 @@
 use crate::constant::Constant;
 use crate::inst::Inst;
 use crate::types::Ty;
+use std::collections::HashMap;
 use std::fmt;
 
 /// Identifier of an SSA value within a [`Function`].
@@ -116,6 +117,40 @@ impl Replacements {
     /// Whether the batch replaces nothing.
     pub fn is_empty(&self) -> bool {
         self.to.is_empty()
+    }
+}
+
+/// A function's constants indexed by bit pattern, so a pass that interns
+/// many constants scans the value arena once instead of once per constant
+/// (as [`Function::add_constant`] does). It interns as `add_constant` does:
+/// the first bit-equal constant in the arena wins.
+#[derive(Debug, Clone, Default)]
+pub struct ConstPool {
+    by_bits: HashMap<(u8, u64), ValueId>,
+}
+
+impl ConstPool {
+    /// Index the constants already in `func`.
+    pub fn new(func: &Function) -> ConstPool {
+        let mut by_bits = HashMap::new();
+        for (i, v) in func.values.iter().enumerate() {
+            if let ValueKind::Const(c) = &v.kind {
+                by_bits.entry(c.bits()).or_insert(ValueId::from_index(i));
+            }
+        }
+        ConstPool { by_bits }
+    }
+
+    /// The value of constant `c` in `func`, added to the arena if absent.
+    /// `func` must be the function the pool was built from.
+    pub fn intern(&mut self, func: &mut Function, c: Constant) -> ValueId {
+        *self.by_bits.entry(c.bits()).or_insert_with(|| {
+            func.add_value(ValueData {
+                kind: ValueKind::Const(c),
+                ty: c.ty(),
+                name: None,
+            })
+        })
     }
 }
 

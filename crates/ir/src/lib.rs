@@ -62,7 +62,8 @@ pub mod verify;
 pub use builder::FunctionBuilder;
 pub use constant::Constant;
 pub use function::{
-    BlockData, BlockId, Function, Replacements, Terminator, ValueData, ValueId, ValueKind,
+    BlockData, BlockId, ConstPool, Function, Replacements, Terminator, ValueData, ValueId,
+    ValueKind,
 };
 pub use inst::{BinOp, CastKind, CmpPred, GepIndex, Inst, Intrinsic, UnOp};
 pub use module::{FuncId, Global, GlobalId, Module};

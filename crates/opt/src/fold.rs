@@ -7,14 +7,15 @@
 //! becoming possible once dynamic structures are gone (§3.5).
 
 use distill_ir::{
-    BinOp, CastKind, CmpPred, Constant, Function, Inst, Intrinsic, Module, Replacements, UnOp,
-    ValueId,
+    BinOp, CastKind, CmpPred, ConstPool, Constant, Function, Inst, Intrinsic, Module, Replacements,
+    UnOp, ValueId,
 };
 
 /// Fold constants in a single function. Returns the number of instructions
 /// replaced by constants or simplified operands.
 pub fn run_function(func: &mut Function) -> usize {
     let mut changes = 0;
+    let mut consts = ConstPool::new(func);
     loop {
         // A round records its replacements and applies them at its end; an
         // instruction's operands are resolved before it is folded.
@@ -26,7 +27,7 @@ pub fn run_function(func: &mut Function) -> usize {
                 func.resolve_operands(v, &repl);
                 match try_fold(func, v) {
                     Some(Folded::Const(c)) => {
-                        let k = func.add_constant(c);
+                        let k = consts.intern(func, c);
                         repl.insert(v, k);
                     }
                     Some(Folded::Value(other)) => repl.insert(v, other),

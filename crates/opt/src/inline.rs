@@ -9,8 +9,8 @@
 //! function.
 
 use distill_ir::{
-    BlockId, Constant, FuncId, Function, Inst, Module, Terminator, Ty, ValueData, ValueId,
-    ValueKind,
+    BlockId, ConstPool, Constant, FuncId, Function, Inst, Module, Terminator, Ty, ValueData,
+    ValueId, ValueKind,
 };
 use std::collections::HashMap;
 use std::ops::Range;
@@ -184,25 +184,12 @@ pub fn inline_call(
     }
 
     // First pass: create caller values for every callee value. Constants
-    // intern as `Function::add_constant` would (the first bit-equal caller
-    // constant wins), through an index of the caller's constants built once
-    // per call.
-    let mut consts: HashMap<(u8, u64), ValueId> = HashMap::new();
-    for (i, vd) in caller.values.iter().enumerate() {
-        if let ValueKind::Const(c) = &vd.kind {
-            consts.entry(c.bits()).or_insert(ValueId::from_index(i));
-        }
-    }
+    // intern through an index of the caller's constants built once per call.
+    let mut consts = ConstPool::new(caller);
     for vd in &callee.values {
         let mapped = match &vd.kind {
             ValueKind::Param(p) => args[*p],
-            ValueKind::Const(c) => *consts.entry(c.bits()).or_insert_with(|| {
-                caller.add_value(ValueData {
-                    kind: ValueKind::Const(*c),
-                    ty: c.ty(),
-                    name: None,
-                })
-            }),
+            ValueKind::Const(c) => consts.intern(caller, *c),
             ValueKind::Inst(inst) => caller.add_value(ValueData {
                 kind: ValueKind::Inst(inst.clone()),
                 ty: vd.ty.clone(),

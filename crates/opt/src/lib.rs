@@ -28,6 +28,7 @@ pub mod fold;
 pub mod inline;
 pub mod licm;
 pub mod mem2reg;
+pub mod memopt;
 pub mod pipeline;
 pub mod simplify_cfg;
 

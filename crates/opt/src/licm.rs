@@ -7,8 +7,9 @@
 //! conversion separates from read-write state (§3.3), which is what makes
 //! this hoisting legal without a full alias analysis.
 
+use crate::memopt;
 use distill_ir::cfg::{find_loops, Cfg, DomTree};
-use distill_ir::{Function, Inst, Module, ValueId, ValueKind};
+use distill_ir::{Function, Inst, Module, ValueId};
 use std::collections::HashSet;
 
 /// Run LICM on one function; returns the number of hoisted instructions.
@@ -131,22 +132,15 @@ fn is_hoistable(
     }
 }
 
-/// Walk a pointer value back through GEPs to see whether it is rooted at an
-/// immutable global.
+/// Whether a pointer is rooted at an immutable global, through any GEP
+/// chain ([`memopt::resolve`], the one alias model).
 fn points_to_immutable_global(func: &Function, ptr: ValueId, globals_immutable: &[bool]) -> bool {
-    let mut cur = ptr;
-    loop {
-        match &func.value(cur).kind {
-            ValueKind::Inst(Inst::Gep { base, .. }) => cur = *base,
-            ValueKind::Inst(Inst::GlobalAddr { global }) => {
-                return globals_immutable
-                    .get(global.index())
-                    .copied()
-                    .unwrap_or(false)
-            }
-            _ => return false,
-        }
-    }
+    memopt::resolve(func, ptr).is_some_and(|r| {
+        globals_immutable
+            .get(r.global.index())
+            .copied()
+            .unwrap_or(false)
+    })
 }
 
 /// Run LICM over every defined function of a module.

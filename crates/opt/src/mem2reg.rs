@@ -111,7 +111,45 @@ pub fn run_function(func: &mut Function) -> usize {
         }
     }
     func.unschedule_if(|v| to_remove.contains(&v));
+    prune_dead_phis(func, phi_for.values().copied());
     candidates.len()
+}
+
+/// Unschedule the placed phis that no live instruction needs. Phis go to
+/// every iterated dominance frontier, live or not, and a dead one may take
+/// `undef` from a path on which its slot was never stored, which is not
+/// valid IR. A placed phi is live when a scheduled instruction other than a
+/// placed phi, or a terminator, uses it, or when a live placed phi does.
+fn prune_dead_phis(func: &mut Function, placed: impl Iterator<Item = ValueId>) {
+    let mut is_placed = vec![false; func.values.len()];
+    for phi in placed {
+        is_placed[phi.index()] = true;
+    }
+    let mut live = vec![false; func.values.len()];
+    let mut work: Vec<ValueId> = Vec::new();
+    let mut mark = |op: ValueId, work: &mut Vec<ValueId>| {
+        if is_placed[op.index()] && !live[op.index()] {
+            live[op.index()] = true;
+            work.push(op);
+        }
+    };
+    for b in func.block_order() {
+        let blk = func.block(b);
+        for &v in blk.insts.iter().filter(|v| !is_placed[v.index()]) {
+            for op in func.as_inst(v).map(Inst::operands).unwrap_or_default() {
+                mark(op, &mut work);
+            }
+        }
+        for op in blk.term.as_ref().map(|t| t.operands()).unwrap_or_default() {
+            mark(op, &mut work);
+        }
+    }
+    while let Some(phi) = work.pop() {
+        for op in func.as_inst(phi).map(Inst::operands).unwrap_or_default() {
+            mark(op, &mut work);
+        }
+    }
+    func.unschedule_if(|v| is_placed[v.index()] && !live[v.index()]);
 }
 
 #[allow(clippy::too_many_arguments)]

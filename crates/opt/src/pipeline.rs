@@ -1,7 +1,7 @@
 //! Pass pipelines mirroring the `O0`–`O3` levels used in the paper's
 //! compilation-cost study (Fig. 7).
 
-use crate::{cse, dce, fold, inline, licm, mem2reg, simplify_cfg};
+use crate::{cse, dce, fold, inline, licm, mem2reg, memopt, simplify_cfg};
 use distill_ir::Module;
 use std::fmt;
 
@@ -9,7 +9,8 @@ use std::fmt;
 ///
 /// * `O0` — no optimization (straight from code generation).
 /// * `O1` — mem2reg, constant folding, DCE and CFG simplification.
-/// * `O2` — `O1` plus CSE, LICM and inlining, iterated twice.
+/// * `O2` — `O1` plus inlining, then load/store optimization, CSE and LICM,
+///   iterated twice.
 /// * `O3` — `O2` with an extra iteration and a larger inlining budget.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub enum OptLevel {
@@ -59,6 +60,8 @@ pub struct PassStats {
     pub licm_hoisted: usize,
     /// Call sites inlined.
     pub inlined_calls: usize,
+    /// Loads folded, forwarded or merged and overwritten stores removed.
+    pub memory_ops_removed: usize,
 }
 
 impl PassStats {
@@ -71,6 +74,7 @@ impl PassStats {
             + self.cfg_simplified
             + self.licm_hoisted
             + self.inlined_calls
+            + self.memory_ops_removed
     }
 
     /// Merge another run's statistics into this one.
@@ -82,6 +86,7 @@ impl PassStats {
         self.cfg_simplified += other.cfg_simplified;
         self.licm_hoisted += other.licm_hoisted;
         self.inlined_calls += other.inlined_calls;
+        self.memory_ops_removed += other.memory_ops_removed;
     }
 }
 
@@ -89,14 +94,15 @@ impl fmt::Display for PassStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "mem2reg={} fold={} dce={} cse={} cfg={} licm={} inline={}",
+            "mem2reg={} fold={} dce={} cse={} cfg={} licm={} inline={} memopt={}",
             self.promoted_allocas,
             self.folded,
             self.dce_removed,
             self.cse_removed,
             self.cfg_simplified,
             self.licm_hoisted,
-            self.inlined_calls
+            self.inlined_calls,
+            self.memory_ops_removed
         )
     }
 }
@@ -119,53 +125,63 @@ impl PassManager {
     }
 
     /// Run the pipeline over a module and return accumulated statistics.
+    ///
+    /// Debug builds verify the module after every pass and panic naming the
+    /// pass that left it invalid.
     pub fn run(&self, module: &mut Module) -> PassStats {
         let mut stats = PassStats::default();
-        match self.level {
-            OptLevel::O0 => {}
+        let (iterations, inline_options) = match self.level {
+            OptLevel::O0 => return stats,
             OptLevel::O1 => {
                 self.scalar_cleanup(module, &mut stats);
+                return stats;
             }
-            OptLevel::O2 => {
-                stats.inlined_calls += inline::run(module);
-                for _ in 0..2 {
-                    self.scalar_cleanup(module, &mut stats);
-                    stats.cse_removed += cse::run(module);
-                    stats.licm_hoisted += licm::run(module);
-                    stats.dce_removed += dce::run(module);
-                }
-            }
-            OptLevel::O3 => {
-                stats.inlined_calls += inline::run_with_options(
-                    module,
-                    inline::InlineOptions {
-                        max_callee_insts: 20_000,
-                        max_inlined_calls: 50_000,
-                    },
-                );
-                for _ in 0..3 {
-                    self.scalar_cleanup(module, &mut stats);
-                    stats.cse_removed += cse::run(module);
-                    stats.licm_hoisted += licm::run(module);
-                    stats.dce_removed += dce::run(module);
-                }
-            }
+            OptLevel::O2 => (2, inline::InlineOptions::default()),
+            OptLevel::O3 => (
+                3,
+                inline::InlineOptions {
+                    max_callee_insts: 20_000,
+                    max_inlined_calls: 50_000,
+                },
+            ),
+        };
+        stats.inlined_calls += self.pass(module, "inline", |m| {
+            inline::run_with_options(m, inline_options)
+        });
+        for _ in 0..iterations {
+            self.scalar_cleanup(module, &mut stats);
+            stats.memory_ops_removed += self.pass(module, "memopt", memopt::run);
+            stats.folded += self.pass(module, "fold", fold::run);
+            stats.cse_removed += self.pass(module, "cse", cse::run);
+            stats.licm_hoisted += self.pass(module, "licm", licm::run);
+            stats.dce_removed += self.pass(module, "dce", dce::run);
         }
-        debug_assert!(
-            distill_ir::verify::verify_module(module).is_ok(),
-            "pipeline {} produced invalid IR: {:?}",
-            self.level,
-            distill_ir::verify::verify_module(module).err()
-        );
         stats
     }
 
     fn scalar_cleanup(&self, module: &mut Module, stats: &mut PassStats) {
-        stats.promoted_allocas += mem2reg::run(module);
-        stats.folded += fold::run(module);
-        stats.cfg_simplified += simplify_cfg::run(module);
-        stats.folded += fold::run(module);
-        stats.dce_removed += dce::run(module);
+        stats.promoted_allocas += self.pass(module, "mem2reg", mem2reg::run);
+        stats.folded += self.pass(module, "fold", fold::run);
+        stats.cfg_simplified += self.pass(module, "simplify_cfg", simplify_cfg::run);
+        stats.folded += self.pass(module, "fold", fold::run);
+        stats.dce_removed += self.pass(module, "dce", dce::run);
+    }
+
+    /// Run one pass and return its change count. In debug builds, verify
+    /// the module afterwards and name the pass if it broke the IR.
+    fn pass(
+        &self,
+        module: &mut Module,
+        name: &str,
+        pass: impl FnOnce(&mut Module) -> usize,
+    ) -> usize {
+        let changes = pass(module);
+        if cfg!(debug_assertions) {
+            if let Err(e) = distill_ir::verify::verify_module(module) {
+                panic!("pass {name} at {} produced invalid IR: {e}", self.level);
+            }
+        }
+        changes
     }
 }
 
