@@ -30,13 +30,21 @@
 //! degrades to the in-process path: remaining leases run locally through
 //! the same offset-windowed `RunSpec`, so a missing binary or a hostile
 //! fault plan degrades throughput, never correctness.
+//!
+//! A worker built from another tree is not a death. Its `Hello` names a
+//! protocol or artifact version other than this build's, or it answers the
+//! job with `Reject`, and nothing it was leased is re-issued to it or
+//! counted against it: under [`WorkerMode::Process`] the sweep fails with
+//! an error that names the skew, otherwise the coordinator turns the worker
+//! away and the leases it cannot take run on the in-process path.
 
 use crate::probes::{dsweep_probes, record_reissue};
-use crate::proto::{self, FaultPlan, Job, Msg, ProtoError};
+use crate::proto::{self, FaultPlan, Job, Msg, ProtoError, PROTOCOL_VERSION};
 use crate::worker::{worker_main, WorkerCtx};
 use distill::ChunkQueue;
 use distill::{
     compile, serialize_artifact, CompileConfig, DistillError, RunSpec, Runner, Session, ShardStats,
+    ARTIFACT_VERSION,
 };
 use distill_models::{registry, Scale};
 use distill_telemetry::{self as telemetry, ArgValue};
@@ -198,6 +206,9 @@ struct WorkerSlot {
 
 enum Event {
     Hello(usize, UnixStream),
+    /// A peer that cannot take part: its first frame is not a `Hello` of
+    /// this build's versions.
+    Skew(String),
     Msg(usize, Msg),
     Gone(usize),
 }
@@ -228,9 +239,9 @@ fn driver_err(m: impl Into<String>) -> DistillError {
 ///
 /// # Errors
 /// Unknown family, compilation failure, an undeliverable lease
-/// (`MAX_LEASE_ATTEMPTS` exceeded), or a local-fallback run failure.
-/// Worker deaths and timeouts are *not* errors — recovering from them is
-/// the point.
+/// (`MAX_LEASE_ATTEMPTS` exceeded), a worker built from another tree under
+/// [`WorkerMode::Process`], or a local-fallback run failure. Worker deaths
+/// and timeouts are *not* errors — recovering from them is the point.
 pub fn dsweep_family(family: &str, cfg: &DsweepConfig) -> Result<DsweepReport, DistillError> {
     let spec = registry::by_name(family)
         .ok_or_else(|| driver_err(format!("unknown model family '{family}'")))?;
@@ -353,6 +364,9 @@ pub fn dsweep_family(family: &str, cfg: &DsweepConfig) -> Result<DsweepReport, D
     let hello_grace = Duration::from_secs(3);
     let assign_grace = Duration::from_secs(1);
     let mut undeliverable: Option<String> = None;
+    // Workers turned away for a version skew or a rejected job.
+    let mut skewed = 0usize;
+    let mut skew: Option<String> = None;
 
     'drive: loop {
         if spawned == 0 || leases.iter().all(|l| l.done) {
@@ -406,8 +420,8 @@ pub fn dsweep_family(family: &str, cfg: &DsweepConfig) -> Result<DsweepReport, D
         // worker out of the sweep — which also makes seeded fault
         // schedules (armed on the victim's first lease grab) land
         // deterministically under any host load.
-        let assignment_open =
-            report.workers_connected >= spawned || started.elapsed() > assign_grace;
+        let answered = report.workers_connected + skewed;
+        let assignment_open = answered >= spawned || started.elapsed() > assign_grace;
         for slot_idx in 0..slots.len() {
             if !assignment_open {
                 break;
@@ -446,7 +460,7 @@ pub fn dsweep_family(family: &str, cfg: &DsweepConfig) -> Result<DsweepReport, D
 
         // If nobody is alive and nobody can still connect, degrade.
         let alive = slots.iter().filter(|s| s.alive).count();
-        if alive == 0 && (report.workers_connected >= spawned || started.elapsed() > hello_grace) {
+        if alive == 0 && (answered >= spawned || started.elapsed() > hello_grace) {
             break;
         }
 
@@ -522,6 +536,20 @@ pub fn dsweep_family(family: &str, cfg: &DsweepConfig) -> Result<DsweepReport, D
                 results[li] = Some((r.outputs, r.passes));
                 report.shards.merge(&r.shards);
             }
+            Ok(Event::Skew(why)) => {
+                skewed += 1;
+                if cfg.mode == WorkerMode::Process {
+                    skew = Some(why);
+                    break;
+                }
+            }
+            Ok(Event::Msg(slot, Msg::Reject { worker, reason })) => {
+                if cfg.mode == WorkerMode::Process {
+                    skew = Some(format!("worker {worker} rejected the job: {reason}"));
+                    break;
+                }
+                turn_away(slot, &mut slots, &mut leases);
+            }
             Ok(Event::Msg(_, _)) => {}
             Ok(Event::Gone(slot)) => {
                 bury_worker(slot, &mut slots, &mut leases, &mut report, Instant::now());
@@ -552,6 +580,12 @@ pub fn dsweep_family(family: &str, cfg: &DsweepConfig) -> Result<DsweepReport, D
 
     if let Some(m) = undeliverable {
         return Err(driver_err(m));
+    }
+    if let Some(why) = skew {
+        return Err(driver_err(format!(
+            "dsweep worker version skew: {why} (this build speaks protocol \
+             {PROTOCOL_VERSION}, artifact format {ARTIFACT_VERSION})"
+        )));
     }
 
     // ---- in-process fallback for whatever is left --------------------------
@@ -646,6 +680,21 @@ fn bury_worker(
     }
 }
 
+/// Stop using a worker that cannot run the job, without counting a death
+/// or re-issuing: its outstanding lease, which it never ran, goes back to
+/// the queue as it was.
+fn turn_away(slot_idx: usize, slots: &mut [WorkerSlot], leases: &mut [LeaseState]) {
+    let Some(slot) = slots.get_mut(slot_idx) else {
+        return;
+    };
+    slot.alive = false;
+    slot.write = None;
+    if let Some(li) = slot.busy_with.take() {
+        leases[li].issued_to = None;
+        leases[li].deadline = None;
+    }
+}
+
 /// Mirror a fenced (dropped) result into the telemetry layer.
 fn record_fence(start: usize, epoch: u32, reason: &'static str) {
     if !telemetry::enabled() {
@@ -669,9 +718,11 @@ fn spawn_acceptor(
 ) -> std::thread::JoinHandle<()> {
     std::thread::spawn(move || {
         let mut readers = Vec::new();
+        let mut conns = Vec::new();
         while !stop.load(Ordering::SeqCst) {
             match listener.accept() {
                 Ok((stream, _)) => {
+                    conns.extend(stream.try_clone().ok());
                     let tx = tx.clone();
                     readers.push(std::thread::spawn(move || reader_loop(stream, tx)));
                 }
@@ -682,16 +733,23 @@ fn spawn_acceptor(
             }
         }
         drop(listener);
+        // Hang up on every connection, so a reader blocked on a worker the
+        // sweep never got to (its hello still queued when the lease loop
+        // ended) returns, and so does the worker.
+        for c in &conns {
+            let _ = c.shutdown(std::net::Shutdown::Both);
+        }
         for r in readers {
             let _ = r.join();
         }
     })
 }
 
-/// Per-connection reader: the first message must be `Hello` (identifying
-/// the worker slot); everything after is forwarded to the event loop. Any
-/// protocol error — including a garbled frame — ends the connection, which
-/// the coordinator treats as a death.
+/// Per-connection reader: the first message must be a `Hello` of this
+/// build's protocol and artifact versions (identifying the worker slot);
+/// any other first frame is a version skew. Everything after is forwarded
+/// to the event loop. Any later protocol error — including a garbled frame
+/// — ends the connection, which the coordinator treats as a death.
 fn reader_loop(stream: UnixStream, tx: mpsc::Sender<Event>) {
     let mut read = stream;
     let write = match read.try_clone() {
@@ -699,8 +757,34 @@ fn reader_loop(stream: UnixStream, tx: mpsc::Sender<Event>) {
         Err(_) => return,
     };
     let slot = match proto::read_msg(&mut read) {
-        Ok(Msg::Hello { worker, .. }) => worker as usize,
-        _ => return,
+        Ok(Msg::Hello {
+            worker,
+            protocol: PROTOCOL_VERSION,
+            artifact_version: ARTIFACT_VERSION,
+            ..
+        }) => worker as usize,
+        Ok(Msg::Hello {
+            worker,
+            protocol,
+            artifact_version,
+            ..
+        }) => {
+            let _ = tx.send(Event::Skew(format!(
+                "worker {worker} speaks protocol {protocol}, artifact format {artifact_version}"
+            )));
+            return;
+        }
+        Ok(_) => {
+            let _ = tx.send(Event::Skew(
+                "worker opened with a message other than hello".into(),
+            ));
+            return;
+        }
+        Err(ProtoError::Corrupt(e)) => {
+            let _ = tx.send(Event::Skew(format!("worker's hello does not decode: {e}")));
+            return;
+        }
+        Err(_) => return,
     };
     if tx.send(Event::Hello(slot, write)).is_err() {
         return;

@@ -29,7 +29,9 @@
 //! # Messages
 //!
 //! * [`Msg::Hello`] — worker → coordinator, once per connection: identifies
-//!   the worker slot (assigned by the spawner) and its pid.
+//!   the worker slot (assigned by the spawner) and its pid, and names the
+//!   [`PROTOCOL_VERSION`] and artifact format the worker was built with. The
+//!   coordinator sends a job only to a worker whose versions equal its own.
 //! * [`Msg::Job`] — coordinator → worker: the model family + scale to
 //!   rebuild from the registry, the serialized artifact (compiled once by
 //!   the coordinator), per-worker execution knobs, and the worker's slice
@@ -41,6 +43,9 @@
 //!   does not match the lease's current epoch are *fenced* (dropped) by the
 //!   coordinator: a lease that timed out and was re-issued bumps the epoch,
 //!   so a straggler's late answer can never race the re-issue.
+//! * [`Msg::Reject`] — worker → coordinator, instead of running the job:
+//!   the worker cannot run it (it cannot decode the artifact, or does not
+//!   know the family).
 //! * [`Msg::Heartbeat`] — worker → coordinator liveness signal.
 //! * [`Msg::Shutdown`] — coordinator → worker: drain and exit.
 
@@ -51,6 +56,10 @@ use std::io::{self, Read, Write};
 /// realistic lease result, small enough that a corrupt length prefix cannot
 /// ask for an absurd allocation.
 pub const MAX_FRAME: usize = 64 << 20;
+
+/// Version of this wire protocol, carried by [`Msg::Hello`]. Bump it on any
+/// change to a message's encoding.
+pub const PROTOCOL_VERSION: u32 = 2;
 
 /// Interval at which a healthy worker emits [`Msg::Heartbeat`].
 pub const HEARTBEAT_INTERVAL_MS: u64 = 25;
@@ -149,6 +158,11 @@ pub enum Msg {
         worker: u32,
         /// Worker process id (coordinator logs / diagnostics).
         pid: u64,
+        /// The worker's [`PROTOCOL_VERSION`].
+        protocol: u32,
+        /// The artifact format the worker decodes
+        /// ([`distill::ARTIFACT_VERSION`]).
+        artifact_version: u32,
     },
     /// Coordinator → worker: the job description.
     Job(Job),
@@ -163,6 +177,13 @@ pub enum Msg {
     },
     /// Worker → coordinator: a completed lease.
     LeaseResult(LeaseResult),
+    /// Worker → coordinator: this worker cannot run the job.
+    Reject {
+        /// Worker slot.
+        worker: u32,
+        /// Why, for the coordinator's error.
+        reason: String,
+    },
     /// Worker → coordinator: liveness.
     Heartbeat {
         /// Worker slot.
@@ -228,6 +249,7 @@ const TAG_LEASE: u8 = 3;
 const TAG_LEASE_RESULT: u8 = 4;
 const TAG_HEARTBEAT: u8 = 5;
 const TAG_SHUTDOWN: u8 = 6;
+const TAG_REJECT: u8 = 7;
 
 #[derive(Default)]
 struct Enc {
@@ -378,10 +400,17 @@ impl<'a> Dec<'a> {
 pub fn encode_msg(msg: &Msg) -> Vec<u8> {
     let mut e = Enc::default();
     match msg {
-        Msg::Hello { worker, pid } => {
+        Msg::Hello {
+            worker,
+            pid,
+            protocol,
+            artifact_version,
+        } => {
             e.u8(TAG_HELLO);
             e.u32(*worker);
             e.u64(*pid);
+            e.u32(*protocol);
+            e.u32(*artifact_version);
         }
         Msg::Job(job) => {
             e.u8(TAG_JOB);
@@ -427,6 +456,11 @@ pub fn encode_msg(msg: &Msg) -> Vec<u8> {
             e.u8(TAG_HEARTBEAT);
             e.u32(*worker);
         }
+        Msg::Reject { worker, reason } => {
+            e.u8(TAG_REJECT);
+            e.u32(*worker);
+            e.str(reason);
+        }
         Msg::Shutdown => e.u8(TAG_SHUTDOWN),
     }
     e.bytes
@@ -442,6 +476,8 @@ pub fn decode_msg(payload: &[u8]) -> Result<Msg, ProtoError> {
         TAG_HELLO => Msg::Hello {
             worker: d.u32()?,
             pid: d.u64()?,
+            protocol: d.u32()?,
+            artifact_version: d.u32()?,
         },
         TAG_JOB => Msg::Job(Job {
             family: d.str()?,
@@ -490,6 +526,10 @@ pub fn decode_msg(payload: &[u8]) -> Result<Msg, ProtoError> {
             })
         }
         TAG_HEARTBEAT => Msg::Heartbeat { worker: d.u32()? },
+        TAG_REJECT => Msg::Reject {
+            worker: d.u32()?,
+            reason: d.str()?,
+        },
         TAG_SHUTDOWN => Msg::Shutdown,
         t => return Err(ProtoError::Corrupt(format!("unknown message tag {t}"))),
     };
@@ -609,6 +649,12 @@ mod tests {
             Msg::Hello {
                 worker: 3,
                 pid: 12345,
+                protocol: PROTOCOL_VERSION,
+                artifact_version: 7,
+            },
+            Msg::Reject {
+                worker: 1,
+                reason: "stale artifact".into(),
             },
             Msg::Job(Job {
                 family: "predator_prey_2".into(),

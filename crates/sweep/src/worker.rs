@@ -15,8 +15,10 @@
 //! fault) and an in-process thread the coordinator falls back to when no
 //! binary can be spawned (same protocol over the same socket, soft exit).
 
-use crate::proto::{self, Msg, ProtoError, WorkerFaults, HEARTBEAT_INTERVAL_MS};
-use distill::{deserialize_artifact, RunSpec, Runner, Session, ShardStats};
+use crate::proto::{self, Job, Msg, ProtoError, WorkerFaults, HEARTBEAT_INTERVAL_MS};
+use distill::{
+    deserialize_artifact, RunSpec, Runner, Session, ShardStats, TrialInput, ARTIFACT_VERSION,
+};
 use distill_models::{registry, Scale};
 use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -44,8 +46,12 @@ fn die(ctx: &WorkerCtx) -> Result<(), String> {
 }
 
 /// Run the worker protocol over `stream` until shutdown, disconnect, or an
-/// injected death. Errors are returned as strings for the binary to print;
-/// the coordinator only ever observes them as a closed connection.
+/// injected death. A job this build cannot run (an artifact it cannot
+/// decode, an unknown family) is answered with [`Msg::Reject`]: dying
+/// instead would look like a crash, and the coordinator would re-issue the
+/// lease to the next worker built from the same tree. Other errors are
+/// returned as strings for the binary to print; the coordinator only ever
+/// observes them as a closed connection.
 pub fn worker_main(stream: UnixStream, ctx: WorkerCtx) -> Result<(), String> {
     let mut reader = stream;
     let writer = Arc::new(Mutex::new(reader.try_clone().map_err(|e| e.to_string())?));
@@ -54,6 +60,8 @@ pub fn worker_main(stream: UnixStream, ctx: WorkerCtx) -> Result<(), String> {
         &Msg::Hello {
             worker: ctx.worker,
             pid: std::process::id() as u64,
+            protocol: proto::PROTOCOL_VERSION,
+            artifact_version: ARTIFACT_VERSION,
         },
     )?;
 
@@ -65,19 +73,13 @@ pub fn worker_main(stream: UnixStream, ctx: WorkerCtx) -> Result<(), String> {
         Err(e) => return Err(format!("reading job: {e}")),
     };
 
-    let spec = registry::by_name(&job.family)
-        .ok_or_else(|| format!("unknown model family '{}'", job.family))?;
-    let scale = if job.scale_full {
-        Scale::Full
-    } else {
-        Scale::Reduced
+    let (inputs, mut runner) = match prepare(&job) {
+        Ok(ready) => ready,
+        Err(reason) => {
+            let worker = ctx.worker;
+            return send(&writer, &Msg::Reject { worker, reason });
+        }
     };
-    let w = spec.build(scale);
-    let artifact =
-        deserialize_artifact(&job.artifact).map_err(|e| format!("artifact rejected: {e}"))?;
-    let mut runner: Box<dyn Runner> = Session::new(&w.model)
-        .build_with(artifact)
-        .map_err(|e| format!("building runner: {e}"))?;
 
     let stop = Arc::new(AtomicBool::new(false));
     let heartbeat = spawn_heartbeat(&writer, &stop, ctx.worker, &job.faults);
@@ -97,7 +99,7 @@ pub fn worker_main(stream: UnixStream, ctx: WorkerCtx) -> Result<(), String> {
                     die(&ctx)?;
                     break Ok(());
                 }
-                let lease_spec = RunSpec::new(w.inputs.clone(), count as usize)
+                let lease_spec = RunSpec::new(inputs.clone(), count as usize)
                     .with_batch(job.batch.max(1) as usize)
                     .with_shards(job.threads.max(1) as usize)
                     .with_offset(start as usize);
@@ -155,6 +157,25 @@ pub fn worker_main(stream: UnixStream, ctx: WorkerCtx) -> Result<(), String> {
     outcome
 }
 
+/// Rebuild the job's trial inputs from the registry and a runner from its
+/// artifact.
+fn prepare(job: &Job) -> Result<(Vec<TrialInput>, Box<dyn Runner>), String> {
+    let spec = registry::by_name(&job.family)
+        .ok_or_else(|| format!("unknown model family '{}'", job.family))?;
+    let scale = if job.scale_full {
+        Scale::Full
+    } else {
+        Scale::Reduced
+    };
+    let w = spec.build(scale);
+    let artifact =
+        deserialize_artifact(&job.artifact).map_err(|e| format!("artifact rejected: {e}"))?;
+    let runner = Session::new(&w.model)
+        .build_with(artifact)
+        .map_err(|e| format!("building runner: {e}"))?;
+    Ok((w.inputs, runner))
+}
+
 fn spawn_heartbeat(
     writer: &Arc<Mutex<UnixStream>>,
     stop: &Arc<AtomicBool>,
@@ -184,4 +205,56 @@ fn send(writer: &Arc<Mutex<UnixStream>>, msg: &Msg) -> Result<(), String> {
 fn send_garbled(writer: &Arc<Mutex<UnixStream>>, msg: &Msg) -> Result<(), String> {
     let mut w = writer.lock().expect("writer lock");
     proto::write_msg_garbled(&mut *w, msg).map_err(|e| e.to_string())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use distill::{compile, serialize_artifact, CompileConfig};
+
+    #[test]
+    fn a_job_it_cannot_decode_is_rejected_not_died_on() {
+        let (mut coordinator, stream) = UnixStream::pair().unwrap();
+        let ctx = WorkerCtx {
+            worker: 4,
+            hard_exit: false,
+        };
+        let worker = std::thread::spawn(move || worker_main(stream, ctx));
+        match proto::read_msg(&mut coordinator).unwrap() {
+            Msg::Hello {
+                worker: 4,
+                protocol,
+                artifact_version,
+                ..
+            } => {
+                assert_eq!(protocol, proto::PROTOCOL_VERSION);
+                assert_eq!(artifact_version, ARTIFACT_VERSION);
+            }
+            other => panic!("expected hello, got {other:?}"),
+        }
+        // An artifact from a build one format version ahead.
+        let family = crate::ANCHOR_FAMILY;
+        let w = registry::by_name(family).unwrap().build(Scale::Reduced);
+        let mut artifact =
+            serialize_artifact(&compile(&w.model, CompileConfig::default()).unwrap());
+        artifact[8..12].copy_from_slice(&(ARTIFACT_VERSION + 1).to_le_bytes());
+        let job = Job {
+            family: family.into(),
+            scale_full: false,
+            batch: 1,
+            threads: 1,
+            artifact,
+            faults: WorkerFaults::default(),
+        };
+        proto::write_msg(&mut coordinator, &Msg::Job(job)).unwrap();
+        match proto::read_msg(&mut coordinator).unwrap() {
+            Msg::Reject { worker: 4, reason } => assert!(reason.contains("version"), "{reason}"),
+            other => panic!("expected a rejection, got {other:?}"),
+        }
+        assert_eq!(worker.join().unwrap(), Ok(()));
+        assert!(matches!(
+            proto::read_msg(&mut coordinator),
+            Err(ProtoError::Eof)
+        ));
+    }
 }
