@@ -66,8 +66,10 @@ pub struct Global {
     /// entries; `Constant::Undef` marks slots initialized at run time.
     pub init: Vec<Constant>,
     /// Whether compiled code may write to the global. Read-only parameter
-    /// structures are immutable which lets constant propagation fold loads
-    /// from them.
+    /// structures are immutable: nothing writes them at run time, so the
+    /// optimizer's load/store pass (`distill_opt::memopt`) folds loads of
+    /// their constant slots to the initializer, and LICM hoists loads of
+    /// them out of loops.
     pub mutable: bool,
 }
 

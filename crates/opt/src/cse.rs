@@ -3,9 +3,10 @@
 //! Pure instructions (arithmetic, comparisons, selects, GEPs, global
 //! addresses, casts and side-effect-free intrinsics) with identical operands
 //! are deduplicated when an equivalent instruction is available in a
-//! dominating block. Loads are deliberately excluded: they are redundant
-//! only in the absence of intervening stores, which [`licm`](crate::licm)
-//! handles for the read-only parameter case.
+//! dominating block. Loads are excluded: they are redundant only in the
+//! absence of intervening stores, and [`memopt`](crate::memopt), which runs
+//! just before, already merges the loads of one slot that no possible
+//! store separates.
 
 use distill_ir::cfg::{Cfg, DomTree};
 use distill_ir::{BinOp, Function, Inst, Module, Replacements, ValueId};

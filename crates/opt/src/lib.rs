@@ -10,6 +10,9 @@
 //! * [`fold`] — constant folding, constant propagation and algebraic
 //!   simplification (`x + 0`, `x * 1`, `x * 0`, …).
 //! * [`dce`] — dead code elimination.
+//! * [`memopt`] — load/store optimization over globals: folds loads of
+//!   immutable globals, forwards stores to loads, merges repeated loads and
+//!   removes overwritten stores, under one coarse alias model.
 //! * [`cse`] — dominator-scoped common subexpression elimination of pure
 //!   instructions.
 //! * [`simplify_cfg`] — unreachable-block removal, constant-branch folding
